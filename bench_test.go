@@ -64,14 +64,16 @@ func BenchmarkF4GradientTo95(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := gradient.New(x, gradient.Config{Eta: 0.04})
-		_, hit, err := eng.RunToTarget(ref.Utility, 0.95, 20000)
-		if err != nil {
-			b.Fatal(err)
+		out := eng.Run(context.Background(), gradient.Policy{MaxIters: 20000}, func(info gradient.StepInfo) bool {
+			return info.Utility >= 0.95*ref.Utility
+		})
+		if out.Err != nil {
+			b.Fatal(out.Err)
 		}
-		if hit < 0 {
+		if out.Stop != gradient.StopCallback {
 			b.Fatal("gradient never reached 95% of optimal")
 		}
-		b.ReportMetric(float64(hit), "iters-to-95%")
+		b.ReportMetric(float64(out.Last.Iteration), "iters-to-95%")
 	}
 }
 
@@ -173,8 +175,8 @@ func BenchmarkE6ShrinkageAblation(b *testing.B) {
 func BenchmarkE7WarmStart(b *testing.B) {
 	x := paperInstance(b)
 	base := gradient.New(x, gradient.Config{Eta: 0.04})
-	if _, err := base.Run(3000, nil); err != nil {
-		b.Fatal(err)
+	if out := base.Run(context.Background(), gradient.Policy{MaxIters: 3000}, nil); out.Err != nil {
+		b.Fatal(out.Err)
 	}
 	warmFrom := base.Routing()
 	b.ResetTimer()
@@ -183,8 +185,8 @@ func BenchmarkE7WarmStart(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.Run(500, nil); err != nil {
-			b.Fatal(err)
+		if out := eng.Run(context.Background(), gradient.Policy{MaxIters: 500}, nil); out.Err != nil {
+			b.Fatal(out.Err)
 		}
 	}
 }
@@ -193,8 +195,8 @@ func BenchmarkE7ColdStart(b *testing.B) {
 	x := paperInstance(b)
 	for i := 0; i < b.N; i++ {
 		eng := gradient.New(x, gradient.Config{Eta: 0.04})
-		if _, err := eng.Run(500, nil); err != nil {
-			b.Fatal(err)
+		if out := eng.Run(context.Background(), gradient.Policy{MaxIters: 500}, nil); out.Err != nil {
+			b.Fatal(out.Err)
 		}
 	}
 }
@@ -205,8 +207,8 @@ func BenchmarkBlockingEnabled(b *testing.B) {
 	x := paperInstance(b)
 	for i := 0; i < b.N; i++ {
 		eng := gradient.New(x, gradient.Config{Eta: 0.04})
-		if _, err := eng.Run(500, nil); err != nil {
-			b.Fatal(err)
+		if out := eng.Run(context.Background(), gradient.Policy{MaxIters: 500}, nil); out.Err != nil {
+			b.Fatal(out.Err)
 		}
 	}
 }
@@ -215,8 +217,8 @@ func BenchmarkBlockingDisabled(b *testing.B) {
 	x := paperInstance(b)
 	for i := 0; i < b.N; i++ {
 		eng := gradient.New(x, gradient.Config{Eta: 0.04, DisableBlocking: true})
-		if _, err := eng.Run(500, nil); err != nil {
-			b.Fatal(err)
+		if out := eng.Run(context.Background(), gradient.Policy{MaxIters: 500}, nil); out.Err != nil {
+			b.Fatal(out.Err)
 		}
 	}
 }
@@ -351,8 +353,8 @@ func BenchmarkFigure1Solve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := gradient.New(x, gradient.Config{Eta: 0.05})
-		if _, err := eng.Run(1000, nil); err != nil {
-			b.Fatal(err)
+		if out := eng.Run(context.Background(), gradient.Policy{MaxIters: 1000}, nil); out.Err != nil {
+			b.Fatal(out.Err)
 		}
 	}
 }
@@ -393,7 +395,7 @@ func BenchmarkAdaptiveEngine(b *testing.B) {
 	x := paperInstance(b)
 	for i := 0; i < b.N; i++ {
 		eng := gradient.NewAdaptive(x, gradient.AdaptiveConfig{})
-		eng.Run(500)
+		eng.Run(context.Background(), gradient.Policy{MaxIters: 500}, nil)
 	}
 }
 
@@ -402,8 +404,8 @@ func BenchmarkAdaptiveEngine(b *testing.B) {
 func BenchmarkQsimReplay(b *testing.B) {
 	x := paperInstance(b)
 	eng := gradient.New(x, gradient.Config{Eta: 0.04})
-	if _, err := eng.Run(3000, nil); err != nil {
-		b.Fatal(err)
+	if out := eng.Run(context.Background(), gradient.Policy{MaxIters: 3000}, nil); out.Err != nil {
+		b.Fatal(out.Err)
 	}
 	r := eng.Routing()
 	b.ResetTimer()
@@ -419,8 +421,8 @@ func BenchmarkQsimReplay(b *testing.B) {
 func BenchmarkDecomposePaths(b *testing.B) {
 	x := paperInstance(b)
 	eng := gradient.New(x, gradient.Config{Eta: 0.04})
-	if _, err := eng.Run(3000, nil); err != nil {
-		b.Fatal(err)
+	if out := eng.Run(context.Background(), gradient.Policy{MaxIters: 3000}, nil); out.Err != nil {
+		b.Fatal(out.Err)
 	}
 	u := eng.Solution()
 	b.ResetTimer()

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -271,8 +272,8 @@ func replayInQsim(p *stream.Problem, cfg cliConfig, rec *obs.Recorder) error {
 		iters = 5000
 	}
 	eng := gradient.New(x, gradient.Config{Eta: cfg.eta})
-	if _, err := eng.Run(iters, nil); err != nil {
-		return err
+	if out := eng.Run(context.Background(), gradient.Policy{MaxIters: iters}, nil); out.Err != nil {
+		return out.Err
 	}
 	res, err := qsim.Run(eng.Routing(), qsim.Config{
 		Ticks: 6000, Arrivals: qsim.Poisson, Seed: 1, Recorder: rec,

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -79,8 +80,8 @@ func run() error {
 		} else if eng, err = gradient.NewFrom(x, carried, gradient.Config{Eta: 0.1}); err != nil {
 			return err
 		}
-		if _, err := eng.Run(iterBudget, nil); err != nil {
-			return err
+		if out := eng.Run(context.Background(), gradient.Policy{MaxIters: iterBudget}, nil); out.Err != nil {
+			return out.Err
 		}
 		carried = eng.Routing()
 

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -36,8 +37,8 @@ func run() error {
 
 	// 1. Optimize.
 	eng := gradient.New(x, gradient.Config{Eta: 0.04})
-	if _, err := eng.Run(5000, nil); err != nil {
-		return err
+	if out := eng.Run(context.Background(), gradient.Policy{MaxIters: 5000}, nil); out.Err != nil {
+		return out.Err
 	}
 	sol := eng.Solution()
 	fmt.Println("step 1 — optimize (gradient algorithm, 5000 iterations)")

@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -47,13 +48,13 @@ func TestEndToEndAllSolversAgree(t *testing.T) {
 	// Gradient (fixed η), adaptive, and the actor runtime must all land
 	// in the same neighborhood below the LP optimum.
 	eng := gradient.New(x, gradient.Config{Eta: 0.04})
-	if _, err := eng.Run(5000, nil); err != nil {
-		t.Fatal(err)
+	if out := eng.Run(context.Background(), gradient.Policy{MaxIters: 5000}, nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	fixed := eng.Solution().Utility()
 
 	ad := gradient.NewAdaptive(x, gradient.AdaptiveConfig{})
-	ad.Run(5000)
+	ad.Run(context.Background(), gradient.Policy{MaxIters: 5000}, nil)
 	adaptive := ad.Solution().Utility()
 
 	rt := dist.New(x, gradient.Config{Eta: 0.04})
@@ -98,8 +99,8 @@ func TestEndToEndAllSolversAgree(t *testing.T) {
 func TestEndToEndPlanSurvivesQueueReplay(t *testing.T) {
 	x := referenceInstance(t)
 	eng := gradient.New(x, gradient.Config{Eta: 0.04})
-	if _, err := eng.Run(5000, nil); err != nil {
-		t.Fatal(err)
+	if out := eng.Run(context.Background(), gradient.Policy{MaxIters: 5000}, nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	sol := eng.Solution()
 
@@ -147,7 +148,7 @@ func TestEndToEndPenaltyFamiliesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := gradient.NewAdaptive(x, gradient.AdaptiveConfig{})
-		last := eng.Run(8000)
+		last := eng.Run(context.Background(), gradient.Policy{MaxIters: 8000}, nil).Last
 		if !last.Feasible {
 			t.Fatalf("%s: infeasible fixed point", pen.Name())
 		}

@@ -15,6 +15,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -71,11 +72,11 @@ type Options struct {
 	// StopAtFraction, when positive, computes the reference optimum and
 	// stops as soon as utility reaches the fraction (e.g. 0.95).
 	StopAtFraction float64
-	// StationaryTol, when positive, stops the gradient algorithms once
-	// Theorem 2's necessary optimality condition holds within the
-	// tolerance (gradient.CheckStationarity's MaxUsedGap), checked
-	// every 50 iterations. Grounded convergence detection without a
-	// reference solve.
+	// StationaryTol, when positive, stops the gradient-family
+	// algorithms once Theorem 2's necessary optimality condition holds
+	// within the tolerance (gradient.CheckStationarity's MaxUsedGap),
+	// checked every 50 iterations. Grounded convergence detection
+	// without a reference solve.
 	StationaryTol float64
 
 	// Gradient knobs (§5).
@@ -276,26 +277,9 @@ func gradientDefaults(opts *Options) {
 func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, target float64, res *Result) error {
 	gradientDefaults(&opts)
 	eng := gradient.New(x, gradient.Config{Eta: opts.Eta, DisableBlocking: opts.DisableBlocking, Workers: opts.Workers, Recorder: opts.Recorder})
-	var det gradient.DivergenceDetector
-	for i := 0; i < opts.MaxIters; i++ {
-		info := eng.Step()
-		recordTrace(res, opts, i, opts.MaxIters, TracePoint{
-			Iteration: info.Iteration, Utility: info.Utility, Cost: info.Cost,
-		})
-		if err := det.Observe(info); err != nil {
-			opts.Recorder.Divergence(string(Gradient), info.Iteration, err.Error())
-			return err
-		}
-		if res.ReachedTargetAt < 0 && info.Utility >= target {
-			res.ReachedTargetAt = info.Iteration
-			break
-		}
-		if opts.StationaryTol > 0 && i%50 == 49 {
-			rep := gradient.CheckStationarity(flow.Evaluate(eng.Routing()))
-			if rep.MaxUsedGap <= opts.StationaryTol {
-				break
-			}
-		}
+	out := eng.Run(context.Background(), stopPolicy(opts), traceTo(res, opts, target))
+	if err := diverged(opts, Gradient, out); err != nil {
+		return err
 	}
 	st := eng.Stats()
 	res.Iterations = st.Iterations
@@ -303,6 +287,37 @@ func solveGradient(p *stream.Problem, x *transform.Extended, opts Options, targe
 	res.Rounds = st.Rounds
 	finishFromUsage(p, x, eng.Solution(), res, opts.Explain)
 	return nil
+}
+
+// stopPolicy is the gradient algorithms' stop policy: the iteration
+// budget plus, when StationaryTol is set, a Theorem-2 check every 50
+// iterations.
+func stopPolicy(opts Options) gradient.Policy {
+	return gradient.Policy{MaxIters: opts.MaxIters, Tol: opts.StationaryTol, CheckEvery: 50}
+}
+
+// traceTo is the per-step callback of the gradient algorithms: it
+// samples the convergence trace and stops once utility reaches target.
+func traceTo(res *Result, opts Options, target float64) func(gradient.StepInfo) bool {
+	return func(info gradient.StepInfo) bool {
+		recordTrace(res, opts, info.Iteration, opts.MaxIters, TracePoint{
+			Iteration: info.Iteration, Utility: info.Utility, Cost: info.Cost,
+		})
+		if res.ReachedTargetAt < 0 && info.Utility >= target {
+			res.ReachedTargetAt = info.Iteration
+			return true
+		}
+		return false
+	}
+}
+
+// diverged reports a run that ended without a usable operating point:
+// divergence (also emitted on the recorder) or a failed step.
+func diverged(opts Options, alg Algorithm, out gradient.Outcome) error {
+	if out.Stop == gradient.StopDiverged {
+		opts.Recorder.Divergence(string(alg), out.Last.Iteration, out.Err.Error())
+	}
+	return out.Err
 }
 
 func solveAdaptive(p *stream.Problem, x *transform.Extended, opts Options, target float64, res *Result) error {
@@ -313,16 +328,10 @@ func solveAdaptive(p *stream.Problem, x *transform.Extended, opts Options, targe
 		Workers:         opts.Workers,
 		Recorder:        opts.Recorder,
 	})
-	for i := 0; i < opts.MaxIters; i++ {
-		info := eng.Step()
-		recordTrace(res, opts, i, opts.MaxIters, TracePoint{
-			Iteration: info.Iteration, Utility: info.Utility, Cost: info.Cost,
-		})
-		res.Iterations++
-		if res.ReachedTargetAt < 0 && info.Utility >= target {
-			res.ReachedTargetAt = info.Iteration
-			break
-		}
+	out := eng.Run(context.Background(), stopPolicy(opts), traceTo(res, opts, target))
+	res.Iterations = out.Iterations
+	if err := diverged(opts, GradientAdaptive, out); err != nil {
+		return err
 	}
 	finishFromUsage(p, x, eng.Solution(), res, opts.Explain)
 	return nil
@@ -331,28 +340,18 @@ func solveAdaptive(p *stream.Problem, x *transform.Extended, opts Options, targe
 func solveDistributed(p *stream.Problem, x *transform.Extended, opts Options, target float64, res *Result) error {
 	gradientDefaults(&opts)
 	rt := dist.New(x, gradient.Config{Eta: opts.Eta, DisableBlocking: opts.DisableBlocking, Recorder: opts.Recorder})
-	var det gradient.DivergenceDetector
-	for i := 0; i < opts.MaxIters; i++ {
-		info, err := rt.Step()
-		if err != nil {
-			return err
-		}
+	each := traceTo(res, opts, target)
+	evaluate := func() *flow.Usage { return flow.Evaluate(rt.Routing()) }
+	out := gradient.Drive(context.Background(), rt.Step, evaluate, stopPolicy(opts), func(info gradient.StepInfo) bool {
 		res.Messages += rt.LastMessages
 		res.Rounds += rt.LastRounds
-		res.Iterations++
-		recordTrace(res, opts, i, opts.MaxIters, TracePoint{
-			Iteration: info.Iteration, Utility: info.Utility, Cost: info.Cost,
-		})
-		if err := det.Observe(info); err != nil {
-			opts.Recorder.Divergence(string(GradientDistributed), info.Iteration, err.Error())
-			return err
-		}
-		if res.ReachedTargetAt < 0 && info.Utility >= target {
-			res.ReachedTargetAt = info.Iteration
-			break
-		}
+		return each(info)
+	})
+	res.Iterations = out.Iterations
+	if err := diverged(opts, GradientDistributed, out); err != nil {
+		return err
 	}
-	finishFromUsage(p, x, flow.Evaluate(rt.Routing()), res, opts.Explain)
+	finishFromUsage(p, x, evaluate(), res, opts.Explain)
 	return nil
 }
 
@@ -463,31 +462,7 @@ func resourceName(p *stream.Problem, x *transform.Extended, n graph.NodeID) (nam
 // Bandwidth node), with capacity, usage, and utilization. The admission
 // server publishes this per snapshot; Solve embeds it in Result.Usage.
 func UsageReport(p *stream.Problem, x *transform.Extended, u *flow.Usage) []NodeUsage {
-	var usage []NodeUsage
-	for n := 0; n < x.G.NumNodes(); n++ {
-		node := graph.NodeID(n)
-		switch x.Kinds[n] {
-		case transform.Proc:
-			usage = append(usage, NodeUsage{
-				Name:        x.Names[n],
-				Kind:        "server",
-				Capacity:    x.Capacity[n],
-				Usage:       u.FNode[n],
-				Utilization: u.FNode[n] / x.Capacity[n],
-			})
-		case transform.Bandwidth:
-			orig := x.OrigEdge[x.G.Out(node)[0]]
-			edge := p.Net.G.Edge(orig)
-			usage = append(usage, NodeUsage{
-				Name:        p.Net.Names[edge.From] + "->" + p.Net.Names[edge.To],
-				Kind:        "link",
-				Capacity:    x.Capacity[n],
-				Usage:       u.FNode[n],
-				Utilization: u.FNode[n] / x.Capacity[n],
-			})
-		}
-	}
-	return usage
+	return UsageReportShared(p, x, u.FNode[:x.SharedNodes])
 }
 
 // UsageReportShared is UsageReport over a merged shared-usage vector: a
@@ -499,28 +474,18 @@ func UsageReport(p *stream.Problem, x *transform.Extended, u *flow.Usage) []Node
 // builds); merged must have length x.SharedNodes.
 func UsageReportShared(p *stream.Problem, x *transform.Extended, merged []float64) []NodeUsage {
 	var usage []NodeUsage
-	for n := 0; n < len(merged); n++ {
-		node := graph.NodeID(n)
-		switch x.Kinds[n] {
-		case transform.Proc:
-			usage = append(usage, NodeUsage{
-				Name:        x.Names[n],
-				Kind:        "server",
-				Capacity:    x.Capacity[n],
-				Usage:       merged[n],
-				Utilization: merged[n] / x.Capacity[n],
-			})
-		case transform.Bandwidth:
-			orig := x.OrigEdge[x.G.Out(node)[0]]
-			edge := p.Net.G.Edge(orig)
-			usage = append(usage, NodeUsage{
-				Name:        p.Net.Names[edge.From] + "->" + p.Net.Names[edge.To],
-				Kind:        "link",
-				Capacity:    x.Capacity[n],
-				Usage:       merged[n],
-				Utilization: merged[n] / x.Capacity[n],
-			})
+	for n, f := range merged {
+		name, kind, ok := resourceName(p, x, graph.NodeID(n))
+		if !ok {
+			continue
 		}
+		usage = append(usage, NodeUsage{
+			Name:        name,
+			Kind:        kind,
+			Capacity:    x.Capacity[n],
+			Usage:       f,
+			Utilization: f / x.Capacity[n],
+		})
 	}
 	return usage
 }
@@ -533,18 +498,8 @@ func collectPrices(p *stream.Problem, x *transform.Extended, ref *refopt.Result)
 		if price <= 1e-9 {
 			continue
 		}
-		node := graph.NodeID(n)
-		switch x.Kinds[n] {
-		case transform.Proc:
-			prices = append(prices, ResourcePrice{Name: x.Names[n], Kind: "server", Price: price})
-		case transform.Bandwidth:
-			orig := x.OrigEdge[x.G.Out(node)[0]]
-			edge := p.Net.G.Edge(orig)
-			prices = append(prices, ResourcePrice{
-				Name:  p.Net.Names[edge.From] + "->" + p.Net.Names[edge.To],
-				Kind:  "link",
-				Price: price,
-			})
+		if name, kind, ok := resourceName(p, x, graph.NodeID(n)); ok {
+			prices = append(prices, ResourcePrice{Name: name, Kind: kind, Price: price})
 		}
 	}
 	sort.Slice(prices, func(a, b int) bool { return prices[a].Price > prices[b].Price })

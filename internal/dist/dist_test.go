@@ -104,7 +104,7 @@ func TestRoundsMatchMemberDepth(t *testing.T) {
 	x := buildRandom(t, 7, 5, 20, 2)
 	depth := 0
 	for j := range x.Commodities {
-		l, err := x.G.LongestPathLen(func(e graph.EdgeID) bool { return x.MemberEdge(j, e) })
+		l, err := x.G.LongestPathLen(func(e graph.EdgeID) bool { return isMember(x, j, e) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,3 +208,8 @@ func TestDelayInvariance(t *testing.T) {
 		}
 	}
 }
+
+// isMember reports whether extended edge e is a member edge of
+// commodity j, probing the sparse subgraph the way the dense
+// per-commodity tables answered it.
+func isMember(x *transform.Extended, j int, e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 }

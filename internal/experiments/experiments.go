@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -88,6 +89,16 @@ func logSampled(iter int) bool {
 	return iter%mag == 0
 }
 
+// run drives eng through at most iters steps with no early stopping
+// beyond each's stop request, reporting a divergence to rec.
+func run(eng *gradient.Engine, iters int, rec *obs.Recorder, each func(gradient.StepInfo) bool) gradient.Outcome {
+	out := eng.Run(context.Background(), gradient.Policy{MaxIters: iters}, each)
+	if out.Stop == gradient.StopDiverged {
+		rec.Divergence("gradient", out.Last.Iteration, out.Err.Error())
+	}
+	return out
+}
+
 // F4Result reproduces Figure 4: gradient and back-pressure convergence
 // toward the LP optimum on the 40-node, 3-commodity random instance.
 type F4Result struct {
@@ -119,8 +130,8 @@ func RunF4(seed int64, scale Scale) (*F4Result, error) {
 	}
 
 	eng := gradient.New(x, gradient.Config{Eta: 0.04, Recorder: scale.Rec})
-	for i := 0; i < scale.GradIters; i++ {
-		info := eng.Step()
+	if out := run(eng, scale.GradIters, scale.Rec, func(info gradient.StepInfo) bool {
+		i := info.Iteration
 		if logSampled(i) || i == scale.GradIters-1 {
 			res.Gradient = append(res.Gradient, Point{Iteration: i, Utility: info.Utility})
 		}
@@ -130,6 +141,9 @@ func RunF4(seed int64, scale Scale) (*F4Result, error) {
 		if res.GradHit90 < 0 && info.Utility >= 0.90*ref.Utility {
 			res.GradHit90 = i
 		}
+		return false
+	}); out.Err != nil {
+		return nil, out.Err
 	}
 
 	bp := backpressure.New(x, backpressure.Config{Recorder: scale.Rec})
@@ -212,21 +226,17 @@ func RunT2(seed int64, etas []float64, scale Scale) ([]T2Row, error) {
 		eng := gradient.New(x, gradient.Config{Eta: eta, Recorder: scale.Rec})
 		row := T2Row{Eta: eta, Hit95: -1}
 		final := 0.0
-		var det gradient.DivergenceDetector
-		for i := 0; i < scale.GradIters; i++ {
-			info := eng.Step()
-			if det.Observe(info) != nil {
-				row.Diverged = true
-				break
-			}
+		out := run(eng, scale.GradIters, scale.Rec, func(info gradient.StepInfo) bool {
 			final = info.Utility
 			row.Feasible = info.Feasible
 			// Only a feasible point counts as having converged: a huge
 			// η can show utility above the optimum by overloading nodes.
 			if row.Hit95 < 0 && info.Feasible && info.Utility >= 0.95*ref.Utility {
-				row.Hit95 = i
+				row.Hit95 = info.Iteration
 			}
-		}
+			return false
+		})
+		row.Diverged = out.Stop == gradient.StopDiverged
 		row.FinalPct = final / ref.Utility
 		rows = append(rows, row)
 	}
@@ -306,9 +316,11 @@ func RunT3(seed int64, layerSweep []int, scale Scale) ([]T3Row, error) {
 			return nil, err
 		}
 		eng := gradient.New(x, gradient.Config{Eta: 0.04, Recorder: scale.Rec})
-		if _, hit, err := eng.RunToTarget(ref.Utility, 0.90, scale.GradIters); err == nil && hit >= 0 {
-			row.GradIters90 = hit
-			row.GradTotalRounds = hit * row.GradRoundsIter
+		if out := run(eng, scale.GradIters, scale.Rec, func(info gradient.StepInfo) bool {
+			return info.Utility >= 0.90*ref.Utility
+		}); out.Stop == gradient.StopCallback {
+			row.GradIters90 = out.Last.Iteration
+			row.GradTotalRounds = out.Last.Iteration * row.GradRoundsIter
 		}
 		for i := 1; i < scale.BPIters; i++ {
 			if bp.Step().Cumulative >= 0.90*ref.Utility {
@@ -355,8 +367,8 @@ func RunT4(seed int64, epsilons []float64, scale Scale) ([]T4Row, error) {
 		// the budget by 0.2/ε relative to the §6 baseline.
 		iters := int(float64(scale.GradIters) * math.Max(1, 0.2/eps))
 		eng := gradient.New(x, gradient.Config{Eta: 0.04, Recorder: scale.Rec})
-		if _, err := eng.Run(iters, nil); err != nil {
-			return nil, err
+		if out := run(eng, iters, scale.Rec, nil); out.Err != nil {
+			return nil, out.Err
 		}
 		u := eng.Solution()
 		_, slack := u.Feasible()
@@ -488,8 +500,8 @@ func RunE5(seed int64, scale Scale) (*E5Result, error) {
 	// than in the linear experiments; η scales down accordingly
 	// (§5's stability condition).
 	eng := gradient.New(x, gradient.Config{Eta: 0.01, Recorder: scale.Rec})
-	if _, err := eng.Run(scale.GradIters, nil); err != nil {
-		return nil, err
+	if out := run(eng, scale.GradIters, scale.Rec, nil); out.Err != nil {
+		return nil, out.Err
 	}
 	sol := eng.Solution()
 
@@ -596,8 +608,8 @@ func RunE6(seed int64, gammas []float64, scale Scale) ([]E6Row, error) {
 			iters = 400000
 		}
 		eng := gradient.New(x, gradient.Config{Eta: 0.04 * math.Pow(4, -gamma), Recorder: scale.Rec})
-		if _, err := eng.Run(iters, nil); err != nil {
-			return nil, err
+		if out := run(eng, iters, scale.Rec, nil); out.Err != nil {
+			return nil, out.Err
 		}
 		row.GradUtility = eng.Solution().Utility()
 		row.GradOptRatio = row.GradUtility / ref.Utility
@@ -661,11 +673,11 @@ func RunE7(seed int64, epochs, iterBudget int, scale Scale) ([]E7Epoch, error) {
 				return nil, err
 			}
 		}
-		if _, err := warm.Run(iterBudget, nil); err != nil {
-			return nil, err
+		if out := run(warm, iterBudget, scale.Rec, nil); out.Err != nil {
+			return nil, out.Err
 		}
-		if _, err := cold.Run(iterBudget, nil); err != nil {
-			return nil, err
+		if out := run(cold, iterBudget, scale.Rec, nil); out.Err != nil {
+			return nil, out.Err
 		}
 		out = append(out, E7Epoch{
 			Epoch:    epoch,

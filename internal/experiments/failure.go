@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/gradient"
+	"repro/internal/obs"
 	"repro/internal/randnet"
 	"repro/internal/refopt"
 	"repro/internal/stream"
@@ -64,8 +65,8 @@ func runE8One(seed int64, eps float64, scale Scale) (*E8Row, error) {
 
 	// Converge on the healthy network.
 	pre := gradient.New(x, gradient.Config{Eta: 0.04, Recorder: scale.Rec})
-	if _, err := pre.Run(scale.GradIters, nil); err != nil {
-		return nil, err
+	if out := run(pre, scale.GradIters, scale.Rec, nil); out.Err != nil {
+		return nil, out.Err
 	}
 	sol := pre.Solution()
 
@@ -119,29 +120,29 @@ func runE8One(seed int64, eps float64, scale Scale) (*E8Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	row.FeasibleIters, row.RecoverIters = runToFeasibleTarget(warm, 0.85*ref.Utility, budget)
+	row.FeasibleIters, row.RecoverIters = runToFeasibleTarget(warm, 0.85*ref.Utility, budget, scale.Rec)
 	cold := gradient.New(xf, gradient.Config{Eta: 0.04, Recorder: scale.Rec})
-	_, row.ColdIters = runToFeasibleTarget(cold, 0.85*ref.Utility, budget)
+	_, row.ColdIters = runToFeasibleTarget(cold, 0.85*ref.Utility, budget, scale.Rec)
 	return row, nil
 }
 
 // runToFeasibleTarget iterates until the measured point is feasible
 // with utility ≥ target, returning the first feasible iteration and
 // the first feasible-and-at-target iteration (-1 on budget exhaustion).
-func runToFeasibleTarget(eng *gradient.Engine, target float64, budget int) (feasibleAt, targetAt int) {
+func runToFeasibleTarget(eng *gradient.Engine, target float64, budget int, rec *obs.Recorder) (feasibleAt, targetAt int) {
 	feasibleAt, targetAt = -1, -1
-	for i := 0; i < budget; i++ {
-		info := eng.Step()
+	run(eng, budget, rec, func(info gradient.StepInfo) bool {
 		if !info.Feasible {
-			continue
+			return false
 		}
 		if feasibleAt < 0 {
-			feasibleAt = i
+			feasibleAt = info.Iteration
 		}
 		if info.Utility >= target {
-			targetAt = i
-			return feasibleAt, targetAt
+			targetAt = info.Iteration
+			return true
 		}
-	}
+		return false
+	})
 	return feasibleAt, targetAt
 }

@@ -40,7 +40,7 @@ func denseEvaluate(t *testing.T, r *Routing) *denseUsage {
 		d.FEdge[j] = make([]float64, ne)
 		d.Arrive[j] = make([]float64, ne)
 		c := &x.Commodities[j]
-		topo, err := x.G.TopoSortFiltered(func(e graph.EdgeID) bool { return x.MemberEdge(j, e) })
+		topo, err := x.G.TopoSortFiltered(func(e graph.EdgeID) bool { return isMember(x, j, e) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,16 +51,16 @@ func denseEvaluate(t *testing.T, r *Routing) *denseUsage {
 				continue
 			}
 			for _, e := range x.G.Out(n) {
-				if !x.MemberEdge(j, e) {
+				if !isMember(x, j, e) {
 					continue
 				}
 				p := r.At(j, e)
 				if p == 0 {
 					continue
 				}
-				f := tn * p * x.EdgeCost(j, e)
+				f := tn * p * edgeCost(x, j, e)
 				d.FEdge[j][e] = f
-				a := tn * p * x.EdgeBeta(j, e)
+				a := tn * p * edgeBeta(x, j, e)
 				d.Arrive[j][e] = a
 				d.T[j][x.G.Edge(e).To] += a
 				d.FNode[n] += f
@@ -151,4 +151,43 @@ func TestSparseEvaluateMatchesDenseReferenceBitwise(t *testing.T) {
 			}
 		})
 	}
+}
+
+// isMember reports whether extended edge e is a member edge of
+// commodity j, probing the sparse subgraph the way the dense
+// per-commodity tables answered it.
+func isMember(x *transform.Extended, j int, e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 }
+
+// edgeBeta returns β_e(j), zero when e is not a member edge of j.
+func edgeBeta(x *transform.Extended, j int, e graph.EdgeID) float64 {
+	if le := x.Sub[j].LocalEdge(e); le >= 0 {
+		return x.Sub[j].Beta[le]
+	}
+	return 0
+}
+
+// edgeCost returns c_e(j), zero when e is not a member edge of j.
+func edgeCost(x *transform.Extended, j int, e graph.EdgeID) float64 {
+	if le := x.Sub[j].LocalEdge(e); le >= 0 {
+		return x.Sub[j].Cost[le]
+	}
+	return 0
+}
+
+// TAt returns t_n(j) for extended node n, zero when n is not a member
+// node — the dense per-node view of the member-local T rows.
+func (u *Usage) TAt(j int, n graph.NodeID) float64 {
+	if ln := u.R.X.Sub[j].LocalNode(n); ln >= 0 {
+		return u.T[j][ln]
+	}
+	return 0
+}
+
+// ArriveAt returns the flow commodity j delivers to the head of
+// extended edge e, zero when e is not a member edge.
+func (u *Usage) ArriveAt(j int, e graph.EdgeID) float64 {
+	if le := u.R.X.Sub[j].LocalEdge(e); le >= 0 {
+		return u.Arrive[j][le]
+	}
+	return 0
 }

@@ -73,12 +73,8 @@ func NewUsage(x *transform.Extended) *Usage {
 }
 
 // ErrWorkspaceShape is wrapped by the error EvaluateInto panics with
-// (and TryEvaluateInto returns) when a workspace does not match the
-// routing's extended problem — wrong commodity count, node count, or
-// per-commodity member row sizes. Callers that reuse workspaces across
-// rebuilds (the admission server's solve loop, shard runners) match it
-// with errors.Is and recover by allocating a fresh workspace with
-// NewUsage, the same cold-fallback shape as flow.ErrTopologyChanged.
+// when a workspace does not match the routing's extended problem —
+// wrong commodity count, node count, or per-commodity member row sizes.
 var ErrWorkspaceShape = errors.New("flow: usage workspace shape mismatch")
 
 // shapeErr builds the detailed ErrWorkspaceShape wrapper.
@@ -123,25 +119,12 @@ func Evaluate(r *Routing) *Usage {
 // problem (per-commodity member-sized rows plus the full-width FNode
 // accumulator). The workspace is zeroed and refilled; the result is
 // bit-identical to Evaluate(r). After the call u.R is r. A mismatched
-// workspace panics with an error wrapping ErrWorkspaceShape; callers
-// that want to recover instead use TryEvaluateInto.
+// workspace panics with an error wrapping ErrWorkspaceShape.
 func EvaluateInto(u *Usage, r *Routing) {
 	if err := u.checkShape(r.X); err != nil {
 		panic(err)
 	}
 	evaluateInto(u, r)
-}
-
-// TryEvaluateInto is EvaluateInto returning the shape mismatch as an
-// error (wrapping ErrWorkspaceShape) instead of panicking, for callers
-// with a recovery path — e.g. falling back to a freshly allocated
-// workspace after an extended problem was rebuilt underneath them.
-func TryEvaluateInto(u *Usage, r *Routing) error {
-	if err := u.checkShape(r.X); err != nil {
-		return err
-	}
-	evaluateInto(u, r)
-	return nil
 }
 
 // evaluateInto is the shape-checked forward sweep. Per commodity it
@@ -191,34 +174,6 @@ func evaluateInto(u *Usage, r *Routing) {
 			}
 		}
 	}
-}
-
-// TAt returns t_n(j) for extended node n, zero when n is not a member
-// node. O(log member nodes) — for cold paths and tests.
-func (u *Usage) TAt(j int, n graph.NodeID) float64 {
-	if ln := u.R.X.Sub[j].LocalNode(n); ln >= 0 {
-		return u.T[j][ln]
-	}
-	return 0
-}
-
-// FEdgeAt returns commodity j's resource usage on extended edge e, zero
-// when e is not a member edge. O(log member edges).
-func (u *Usage) FEdgeAt(j int, e graph.EdgeID) float64 {
-	if le := u.R.X.Sub[j].LocalEdge(e); le >= 0 {
-		return u.FEdge[j][le]
-	}
-	return 0
-}
-
-// ArriveAt returns the flow commodity j delivers to the head of
-// extended edge e, zero when e is not a member edge. O(log member
-// edges).
-func (u *Usage) ArriveAt(j int, e graph.EdgeID) float64 {
-	if le := u.R.X.Sub[j].LocalEdge(e); le >= 0 {
-		return u.Arrive[j][le]
-	}
-	return 0
 }
 
 // AdmittedRate returns a_j: the rate the dummy node sends into the real

@@ -1,6 +1,7 @@
 package gradient
 
 import (
+	"context"
 	"runtime"
 
 	"repro/internal/flow"
@@ -172,11 +173,7 @@ func (e *AdaptiveEngine) Step() StepInfo {
 	return info
 }
 
-// Run executes n iterations and returns the final StepInfo.
-func (e *AdaptiveEngine) Run(n int) StepInfo {
-	var last StepInfo
-	for i := 0; i < n; i++ {
-		last = e.Step()
-	}
-	return last
+// Run drives the adaptive engine through Drive, like Engine.Run.
+func (e *AdaptiveEngine) Run(ctx context.Context, p Policy, each func(StepInfo) bool) Outcome {
+	return Drive(ctx, func() (StepInfo, error) { return e.Step(), nil }, e.Solution, p, each)
 }

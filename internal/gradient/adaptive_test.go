@@ -1,6 +1,7 @@
 package gradient
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestAdaptiveSurvivesHostileInitialEta(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewAdaptive(x, AdaptiveConfig{InitialEta: 50})
-	last := e.Run(6000)
+	last := runAdaptive(e, 6000)
 	if e.Backtracks == 0 {
 		t.Fatal("hostile eta never backtracked")
 	}
@@ -54,12 +55,12 @@ func TestAdaptiveMatchesFixedEtaQuality(t *testing.T) {
 	// step.
 	x := randomExtended(t, 23)
 	fixed := New(x, Config{Eta: 0.01})
-	traceFixed, err := fixed.Run(4000, nil)
+	traceFixed, err := runTrace(fixed, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	adaptive := NewAdaptive(x, AdaptiveConfig{})
-	lastAdaptive := adaptive.Run(4000)
+	lastAdaptive := runAdaptive(adaptive, 4000)
 	fixedU := traceFixed[len(traceFixed)-1].Utility
 	if lastAdaptive.Utility < 0.95*fixedU {
 		t.Fatalf("adaptive %g well below tuned fixed %g", lastAdaptive.Utility, fixedU)
@@ -81,7 +82,7 @@ func TestAdaptiveEtaGrowsOnEasyInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewAdaptive(x, AdaptiveConfig{InitialEta: 0.001})
-	e.Run(2000)
+	runAdaptive(e, 2000)
 	if e.Eta() <= 0.001 {
 		t.Fatalf("eta never grew: %g", e.Eta())
 	}
@@ -99,4 +100,10 @@ func TestAdaptiveDefaults(t *testing.T) {
 	if cfg.Shrink != 0.5 || cfg.Grow != 1.05 {
 		t.Fatalf("degenerate values not corrected: %+v", cfg)
 	}
+}
+
+// runAdaptive runs n adaptive steps through Run and returns the last
+// step's measurement.
+func runAdaptive(e *AdaptiveEngine, n int) StepInfo {
+	return e.Run(context.Background(), Policy{MaxIters: n}, nil).Last
 }

@@ -1,6 +1,7 @@
 package gradient
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,10 +12,10 @@ import (
 // solveToConvergence runs the engine until near-stationary.
 func solveToConvergence(t *testing.T, eng *Engine, iters int) *flow.Usage {
 	t.Helper()
-	if _, err := eng.Run(iters, func(info StepInfo) bool {
+	if out := eng.Run(context.Background(), Policy{MaxIters: iters}, func(StepInfo) bool {
 		return CheckStationarity(flow.Evaluate(eng.Routing())).MaxUsedGap < 1e-4
-	}); err != nil {
-		t.Fatal(err)
+	}); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	return eng.Solution()
 }

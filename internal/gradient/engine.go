@@ -1,6 +1,7 @@
 package gradient
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -83,6 +84,9 @@ type Engine struct {
 
 	stats Stats
 	iter  int
+	// evaluated reports that u holds the evaluation of the current R
+	// (set by Evaluate, cleared by Step).
+	evaluated bool
 }
 
 // New prepares an engine from the paper-faithful initial routing
@@ -149,6 +153,7 @@ func (e *Engine) Step() StepInfo {
 	next := e.spare
 	msgs, maxRounds, iterTagged := e.arena.runWave(u, e.cfg.Eta, !e.cfg.DisableBlocking, rec.Enabled(), rec, next)
 	e.spare, e.R = e.R, next
+	e.evaluated = false
 	// Forecast wave mirrors the marginal wave downstream: same message
 	// count, same depth.
 	iterMessages := 2 * msgs
@@ -177,7 +182,7 @@ func (e *Engine) measure(u *flow.Usage) StepInfo {
 	}
 }
 
-// ErrDiverged is returned by Run when the iteration has genuinely
+// ErrDiverged is reported by Run when the iteration has genuinely
 // diverged — η too large for the instance (§5's "danger of no
 // convergence").
 var ErrDiverged = errors.New("gradient: iteration diverged; reduce eta")
@@ -213,39 +218,121 @@ func (d *DivergenceDetector) Observe(info StepInfo) error {
 	return nil
 }
 
-// Run executes up to maxIters iterations, appending one StepInfo per
-// iteration to the returned trace. It stops early when stop (if
-// non-nil) returns true for the latest StepInfo.
-func (e *Engine) Run(maxIters int, stop func(StepInfo) bool) ([]StepInfo, error) {
-	trace := make([]StepInfo, 0, maxIters)
-	var det DivergenceDetector
-	for i := 0; i < maxIters; i++ {
-		info := e.Step()
-		trace = append(trace, info)
-		if err := det.Observe(info); err != nil {
-			e.cfg.Recorder.Divergence("gradient", info.Iteration, err.Error())
-			return trace, err
-		}
-		if stop != nil && stop(info) {
-			break
-		}
-	}
-	return trace, nil
+// StopReason says why a Run ended. It is the solve's answer to "why
+// did it stop?" and is published on server snapshots and iterate spans.
+type StopReason string
+
+const (
+	// StopStationary: Theorem 2's necessary optimality condition held
+	// within Policy.Tol at a periodic check.
+	StopStationary StopReason = "stationary"
+	// StopMaxIters: the iteration budget ran out.
+	StopMaxIters StopReason = "max_iters"
+	// StopDiverged: the DivergenceDetector declared the trajectory
+	// beyond recovery.
+	StopDiverged StopReason = "diverged"
+	// StopDrained: the context was cancelled (shutdown drain).
+	StopDrained StopReason = "drained"
+	// StopCallback: the per-step callback asked to stop.
+	StopCallback StopReason = "callback"
+	// StopFailed: a step itself failed (the message-passing runtime's
+	// wave did not quiesce); Outcome.Err holds the cause.
+	StopFailed StopReason = "failed"
+)
+
+// defaultCheckEvery is the stationarity-check cadence when Policy
+// leaves it zero.
+const defaultCheckEvery = 25
+
+// Policy bounds one Run.
+type Policy struct {
+	// MaxIters is the step budget of the run.
+	MaxIters int
+	// Tol is the Theorem-2 stationarity tolerance on
+	// CheckStationarity's MaxUsedGap; ≤ 0 disables the check.
+	Tol float64
+	// CheckEvery is the check cadence: the routing is tested after every
+	// CheckEvery-th step of the run, never before the first step. ≤ 0
+	// means 25.
+	CheckEvery int
+	// Detector carries divergence state across runs, for a solve that
+	// spans several (the shard runner's exchange rounds); nil starts a
+	// fresh detector.
+	Detector *DivergenceDetector
 }
 
-// RunToTarget iterates until the measured utility reaches the given
-// fraction of target (e.g. 0.95 × the LP optimum, the paper's
-// convergence criterion in §6), or maxIters. It returns the trace and
-// the first iteration index reaching the target (-1 if never).
-func (e *Engine) RunToTarget(target, fraction float64, maxIters int) ([]StepInfo, int, error) {
-	hit := -1
-	trace, err := e.Run(maxIters, func(info StepInfo) bool {
-		if hit < 0 && info.Utility >= fraction*target {
-			hit = info.Iteration
+// Outcome is how a Run ended.
+type Outcome struct {
+	Stop       StopReason
+	Iterations int      // steps taken by this run
+	Last       StepInfo // the final step's measurement (zero if none)
+	Err        error    // the divergence or step failure, if any
+}
+
+// Drive is the one synchronous step loop every gradient solve runs
+// through: step until the context is cancelled, the budget runs out,
+// the trajectory diverges, the periodic Theorem-2 check passes, or the
+// optional per-step callback returns true. The callback sees every step
+// the divergence detector accepted. step advances one iteration;
+// evaluate returns an evaluation of the current routing for the
+// stationarity check. Drive keeps no trace — callers that want one
+// collect it in each.
+func Drive(ctx context.Context, step func() (StepInfo, error), evaluate func() *flow.Usage, p Policy, each func(StepInfo) bool) Outcome {
+	det := p.Detector
+	if det == nil {
+		det = &DivergenceDetector{}
+	}
+	every := p.CheckEvery
+	if every <= 0 {
+		every = defaultCheckEvery
+	}
+	var out Outcome
+	for out.Iterations < p.MaxIters {
+		if ctx.Err() != nil {
+			out.Stop = StopDrained
+			return out
 		}
-		return hit >= 0
-	})
-	return trace, hit, err
+		info, err := step()
+		if err != nil {
+			out.Stop, out.Err = StopFailed, err
+			return out
+		}
+		out.Iterations++
+		out.Last = info
+		if err := det.Observe(info); err != nil {
+			out.Stop, out.Err = StopDiverged, err
+			return out
+		}
+		if each != nil && each(info) {
+			out.Stop = StopCallback
+			return out
+		}
+		if p.Tol > 0 && out.Iterations%every == 0 &&
+			CheckStationarity(evaluate()).MaxUsedGap <= p.Tol {
+			out.Stop = StopStationary
+			return out
+		}
+	}
+	out.Stop = StopMaxIters
+	return out
+}
+
+// Run drives the engine through Drive.
+func (e *Engine) Run(ctx context.Context, p Policy, each func(StepInfo) bool) Outcome {
+	return Drive(ctx, e.step, e.Evaluate, p, each)
+}
+
+func (e *Engine) step() (StepInfo, error) { return e.Step(), nil }
+
+// Evaluate evaluates the current routing into the engine's workspace
+// and returns it. The result is bit-identical to Solution's but
+// allocates nothing, and is only valid until the next Step.
+func (e *Engine) Evaluate() *flow.Usage {
+	if !e.evaluated {
+		flow.EvaluateInto(e.u, e.R)
+		e.evaluated = true
+	}
+	return e.u
 }
 
 // Solution evaluates the current routing set.

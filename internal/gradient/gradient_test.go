@@ -1,6 +1,7 @@
 package gradient
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,6 +13,33 @@ import (
 	"repro/internal/transform"
 	"repro/internal/utility"
 )
+
+// runTrace runs n steps through Run and collects the per-step trace.
+func runTrace(e *Engine, n int) ([]StepInfo, error) {
+	trace := make([]StepInfo, 0, n)
+	out := e.Run(context.Background(), Policy{MaxIters: n}, func(info StepInfo) bool {
+		trace = append(trace, info)
+		return false
+	})
+	return trace, out.Err
+}
+
+// RunToTarget iterates until the measured utility reaches the given
+// fraction of target (e.g. 0.95 × the LP optimum, the paper's
+// convergence criterion in §6), or maxIters. It returns the trace and
+// the first iteration index reaching the target (-1 if never).
+func (e *Engine) RunToTarget(target, fraction float64, maxIters int) ([]StepInfo, int, error) {
+	hit := -1
+	var trace []StepInfo
+	out := e.Run(context.Background(), Policy{MaxIters: maxIters}, func(info StepInfo) bool {
+		trace = append(trace, info)
+		if hit < 0 && info.Utility >= fraction*target {
+			hit = info.Iteration
+		}
+		return hit >= 0
+	})
+	return trace, hit, out.Err
+}
 
 // singlePath builds dummy → src → bw → sink with the given capacities
 // and offered rate, linear utility.
@@ -84,7 +112,7 @@ func TestMarginalMatchesFiniteDifference(t *testing.T) {
 	src := c.Source
 	var srcOuts []graph.EdgeID
 	for _, e := range x.G.Out(src) {
-		if x.MemberEdge(0, e) {
+		if isMember(x, 0, e) {
 			srcOuts = append(srcOuts, e)
 		}
 	}
@@ -96,9 +124,9 @@ func TestMarginalMatchesFiniteDifference(t *testing.T) {
 
 	const h = 1e-7
 	base := u.TotalCost()
-	for _, e := range x.MemberEdges(0) {
+	for _, e := range x.Sub[0].Edges {
 		tail := x.G.Edge(e).From
-		ti := u.TAt(0, tail)
+		ti := tAt(u, 0, tail)
 		if ti == 0 {
 			continue // derivative information is 0·d; skip
 		}
@@ -134,7 +162,7 @@ func TestRhoZeroAtSinkAndCompositionality(t *testing.T) {
 		}
 		sum, any := 0.0, false
 		for _, e := range x.G.Out(node) {
-			if x.MemberEdge(0, e) {
+			if isMember(x, 0, e) {
 				sum += r.At(0, e) * m.LinkDAt(sg, e)
 				any = true
 			}
@@ -177,7 +205,7 @@ func TestConvergesToFullAdmissionWhenUnconstrained(t *testing.T) {
 	// Plenty of capacity: optimal admits everything (a* = λ = 5).
 	x := singlePath(t, 100, 100, 5)
 	e := New(x, Config{Eta: 0.5})
-	trace, err := e.Run(3000, nil)
+	trace, err := runTrace(e, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,14 +223,14 @@ func TestConvergesToBarrierOptimumWhenConstrained(t *testing.T) {
 	// Anneal: a large step reaches the neighborhood fast, then a small
 	// step settles the oscillation band (§5's speed/stability trade).
 	coarse := New(x, Config{Eta: 0.5})
-	if _, err := coarse.Run(3000, nil); err != nil {
+	if _, err := runTrace(coarse, 3000); err != nil {
 		t.Fatal(err)
 	}
 	fine, err := NewFrom(x, coarse.Routing(), Config{Eta: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := fine.Run(3000, nil)
+	trace, err := runTrace(fine, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +247,7 @@ func TestConvergesToBarrierOptimumWhenConstrained(t *testing.T) {
 func TestCostDecreasesMonotonically(t *testing.T) {
 	x := twoPath(t, 20, utility.Linear{Slope: 1})
 	e := New(x, Config{Eta: 0.04})
-	trace, err := e.Run(2000, nil)
+	trace, err := runTrace(e, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +265,7 @@ func TestSplitsMatchBarrierOptimum(t *testing.T) {
 	// (3t_a−20)² = 3(12−t_a)² ⇒ t_a ≈ 8.6188.
 	x := twoPath(t, 20, utility.Linear{Slope: 1})
 	e := New(x, Config{Eta: 0.2})
-	if _, err := e.Run(8000, nil); err != nil {
+	if _, err := runTrace(e, 8000); err != nil {
 		t.Fatal(err)
 	}
 	u := e.Solution()
@@ -251,7 +279,7 @@ func TestSplitsMatchBarrierOptimum(t *testing.T) {
 		t.Fatalf("admitted = %g, want ≈ λ = 20", admitted)
 	}
 	wantA := (20 + 12*math.Sqrt(3)) / (3 + math.Sqrt(3))
-	ta, tb := u.TAt(0, aNode), u.TAt(0, bNode)
+	ta, tb := tAt(u, 0, aNode), tAt(u, 0, bNode)
 	if math.Abs(ta-wantA) > 0.15 {
 		t.Fatalf("t(a) = %g, want barrier optimum ≈ %g", ta, wantA)
 	}
@@ -303,14 +331,14 @@ func TestLargeEtaDivergesOrOscillates(t *testing.T) {
 	x := twoPath(t, 20, utility.Linear{Slope: 1})
 
 	small := New(x, Config{Eta: 0.1})
-	traceS, err := small.Run(6000, nil)
+	traceS, err := runTrace(small, 6000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	goodCost := traceS[len(traceS)-1].Cost
 
 	big := New(x, Config{Eta: 1e4})
-	traceB, err := big.Run(6000, nil)
+	traceB, err := runTrace(big, 6000)
 	if err == nil {
 		finalCost := traceB[len(traceB)-1].Cost
 		if finalCost <= goodCost+0.05 {
@@ -325,11 +353,11 @@ func TestBlockingAblationSameOptimumOnDAG(t *testing.T) {
 	x := twoPath(t, 20, utility.Linear{Slope: 1})
 	withB := New(x, Config{Eta: 0.1})
 	without := New(x, Config{Eta: 0.1, DisableBlocking: true})
-	tb, err := withB.Run(5000, nil)
+	tb, err := runTrace(withB, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn, err := without.Run(5000, nil)
+	tn, err := runTrace(without, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +372,7 @@ func TestWarmStartFasterThanCold(t *testing.T) {
 	// iterations than a cold start.
 	xA := twoPath(t, 18, utility.Linear{Slope: 1})
 	warmup := New(xA, Config{Eta: 0.2})
-	if _, err := warmup.Run(6000, nil); err != nil {
+	if _, err := runTrace(warmup, 6000); err != nil {
 		t.Fatal(err)
 	}
 
@@ -375,7 +403,7 @@ func TestWarmStartFasterThanCold(t *testing.T) {
 func TestUtilityApproachesLambdaNeverExceeds(t *testing.T) {
 	x := singlePath(t, 1000, 1000, 5)
 	e := New(x, Config{Eta: 1})
-	trace, err := e.Run(4000, nil)
+	trace, err := runTrace(e, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,4 +445,18 @@ func TestBlockingScaleCorrectness(t *testing.T) {
 	if math.Abs(wb.Utility-nb.Utility) > 0.05*(1+nb.Utility) {
 		t.Fatalf("blocking (%g) and no-blocking (%g) fixed points diverge", wb.Utility, nb.Utility)
 	}
+}
+
+// isMember reports whether extended edge e is a member edge of
+// commodity j, probing the sparse subgraph the way the dense
+// per-commodity tables answered it.
+func isMember(x *transform.Extended, j int, e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 }
+
+// tAt returns t_n(j) for extended node n, zero when n is not a member
+// node.
+func tAt(u *flow.Usage, j int, n graph.NodeID) float64 {
+	if ln := u.R.X.Sub[j].LocalNode(n); ln >= 0 {
+		return u.T[j][ln]
+	}
+	return 0
 }

@@ -70,13 +70,13 @@ func TestParallelTrajectoryBitwiseIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			x := buildInstance(t, tc.cfg)
 			seq := New(x, Config{Workers: 1})
-			seqTrace, err := seq.Run(tc.steps, nil)
+			seqTrace, err := runTrace(seq, tc.steps)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 4, 8} {
 				par := New(x, Config{Workers: workers})
-				parTrace, err := par.Run(tc.steps, nil)
+				parTrace, err := runTrace(par, tc.steps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,11 +96,11 @@ func TestParallelTrajectoryIdenticalAcrossSeeds(t *testing.T) {
 		x := buildInstance(t, randnet.Config{Seed: seed, Nodes: 24, Commodities: 4})
 		seq := New(x, Config{Workers: 1})
 		par := New(x, Config{Workers: 4})
-		seqTrace, err := seq.Run(120, nil)
+		seqTrace, err := runTrace(seq, 120)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parTrace, err := par.Run(120, nil)
+		parTrace, err := runTrace(par, 120)
 		if err != nil {
 			t.Fatal(err)
 		}

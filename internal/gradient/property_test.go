@@ -145,7 +145,7 @@ func TestQuickStationaryPointSatisfiesOptimalityCondition(t *testing.T) {
 	f := func(seed int64) bool {
 		x := randomExtended(t, seed)
 		eng := NewAdaptive(x, AdaptiveConfig{})
-		eng.Run(4000)
+		runAdaptive(eng, 4000)
 		u := flow.Evaluate(eng.Routing())
 		for j := range x.Commodities {
 			m := ComputeMarginals(u, j)

@@ -10,9 +10,9 @@ func TestStationarityImprovesWithConvergence(t *testing.T) {
 	x := randomExtended(t, 29)
 	eng := NewAdaptive(x, AdaptiveConfig{})
 
-	eng.Run(50)
+	runAdaptive(eng, 50)
 	early := CheckStationarity(flow.Evaluate(eng.Routing()))
-	eng.Run(8000)
+	runAdaptive(eng, 8000)
 	late := CheckStationarity(flow.Evaluate(eng.Routing()))
 
 	if late.MaxUsedGap >= early.MaxUsedGap {
@@ -43,7 +43,7 @@ func TestStationarityZeroGapAtFixedPoint(t *testing.T) {
 	// capacity, fully converged — both residuals near zero.
 	x := singlePath(t, 1e6, 1e6, 5)
 	eng := New(x, Config{Eta: 1})
-	if _, err := eng.Run(4000, nil); err != nil {
+	if _, err := runTrace(eng, 4000); err != nil {
 		t.Fatal(err)
 	}
 	rep := CheckStationarity(flow.Evaluate(eng.Routing()))

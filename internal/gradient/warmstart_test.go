@@ -71,7 +71,7 @@ func TestWarmStartBeatsColdUnderRateUpdates(t *testing.T) {
 				t.Fatal(err)
 			}
 			pre := New(x0, Config{Eta: 0.04})
-			if _, err := pre.Run(preIters, nil); err != nil {
+			if _, err := runTrace(pre, preIters); err != nil {
 				t.Fatal(err)
 			}
 
@@ -119,7 +119,7 @@ func TestNewFromTopologyChangeError(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := New(x0, Config{})
-	if _, err := eng.Run(10, nil); err != nil {
+	if _, err := runTrace(eng, 10); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package qsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -23,8 +24,8 @@ func solvedInstance(t *testing.T, seed int64) (*transform.Extended, *flow.Routin
 		t.Fatal(err)
 	}
 	eng := gradient.New(x, gradient.Config{Eta: 0.04})
-	if _, err := eng.Run(4000, nil); err != nil {
-		t.Fatal(err)
+	if out := eng.Run(context.Background(), gradient.Policy{MaxIters: 4000}, nil); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	return x, eng.Routing()
 }
@@ -166,8 +167,8 @@ func TestMoreHeadroomLessDelay(t *testing.T) {
 		if eps < 0.1 {
 			iters = 30000 // flatter landscape converges more slowly (T4)
 		}
-		if _, err := eng.Run(iters, nil); err != nil {
-			t.Fatal(err)
+		if out := eng.Run(context.Background(), gradient.Policy{MaxIters: iters}, nil); out.Err != nil {
+			t.Fatal(out.Err)
 		}
 		res, err := Run(eng.Routing(), Config{Ticks: 6000, Arrivals: Poisson, Seed: 11})
 		if err != nil {

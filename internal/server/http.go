@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/gradient"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 )
@@ -466,13 +467,14 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // snapshot was republished. A commodity arriving (departing) between
 // generations shows its full (negated) rate as the delta.
 type HistoryEntry struct {
-	Generation   int64   `json:"generation"`
-	Rev          int64   `json:"rev"`
-	Warm         bool    `json:"warm"`
-	Iterations   int     `json:"iterations"`
-	SolveSeconds float64 `json:"solveSeconds"`
-	Utility      float64 `json:"utility"`
-	DeltaUtility float64 `json:"deltaUtility"`
+	Generation   int64               `json:"generation"`
+	Rev          int64               `json:"rev"`
+	Warm         bool                `json:"warm"`
+	Iterations   int                 `json:"iterations"`
+	Stop         gradient.StopReason `json:"stop,omitempty"`
+	SolveSeconds float64             `json:"solveSeconds"`
+	Utility      float64             `json:"utility"`
+	DeltaUtility float64             `json:"deltaUtility"`
 	// Admitted maps commodity name to admitted rate at this generation;
 	// DeltaAdmitted to the change since the previous retained one.
 	Admitted      map[string]float64 `json:"admitted"`
@@ -491,6 +493,7 @@ func (s *Server) historyDiffs() []HistoryEntry {
 			Rev:          snap.Rev,
 			Warm:         snap.Warm,
 			Iterations:   snap.Iterations,
+			Stop:         snap.Stop,
 			SolveSeconds: snap.SolveSeconds,
 			Utility:      snap.Utility,
 			Admitted:     make(map[string]float64, len(snap.Commodities)),

@@ -2,11 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gradient"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 )
@@ -259,5 +261,67 @@ func TestDebugTraceDisabled(t *testing.T) {
 	resp, _ := doReq(t, http.MethodGet, ts.URL+"/debug/trace", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /debug/trace without a ring: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSnapshotStopReason checks the solve's stop reason reaches the
+// snapshot JSON and the history entries in single-engine and sharded
+// mode alike: a converging solve stops "stationary", a starved budget
+// "max_iters".
+func TestSnapshotStopReason(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		for _, tc := range []struct {
+			maxIters  int
+			want      gradient.StopReason
+			converged bool
+		}{
+			{1500, gradient.StopStationary, true},
+			{10, gradient.StopMaxIters, false},
+		} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, tc.want), func(t *testing.T) {
+				opts := testOptions(nil)
+				opts.Shards = shards
+				opts.MaxIters = tc.maxIters
+				s, err := New(toyProblem(t), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = s.Close() })
+				ts := httptest.NewServer(s.Handler(nil))
+				t.Cleanup(ts.Close)
+				if _, err := s.WaitForGeneration(1, waitBudget); err != nil {
+					t.Fatal(err)
+				}
+
+				resp, body := doReq(t, http.MethodGet, ts.URL+"/v1/snapshot", nil)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("GET /v1/snapshot status %d: %s", resp.StatusCode, body)
+				}
+				var snap struct {
+					Stop      string `json:"stop"`
+					Converged bool   `json:"converged"`
+				}
+				if err := json.Unmarshal(body, &snap); err != nil {
+					t.Fatal(err)
+				}
+				if snap.Stop != string(tc.want) || snap.Converged != tc.converged {
+					t.Errorf("snapshot stop=%q converged=%v, want %q %v", snap.Stop, snap.Converged, tc.want, tc.converged)
+				}
+
+				resp, body = doReq(t, http.MethodGet, ts.URL+"/history", nil)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("GET /history status %d: %s", resp.StatusCode, body)
+				}
+				var hist struct {
+					Generations []HistoryEntry `json:"generations"`
+				}
+				if err := json.Unmarshal(body, &hist); err != nil {
+					t.Fatal(err)
+				}
+				if len(hist.Generations) == 0 || hist.Generations[0].Stop != tc.want {
+					t.Errorf("history = %+v, want first generation stopped %q", hist.Generations, tc.want)
+				}
+			})
+		}
 	}
 }

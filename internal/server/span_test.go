@@ -127,6 +127,9 @@ func TestDecisionLifecycleSpans(t *testing.T) {
 	if byName["iterate"].Attrs["iterations"] == "" {
 		t.Error("iterate span missing iterations attr")
 	}
+	if byName["iterate"].Attrs["stop"] == "" {
+		t.Error("iterate span missing stop attr")
+	}
 	if st := byName["engine_init"].Attrs["start"]; st != "warm" && st != "cold" {
 		t.Errorf("engine_init start = %q, want warm|cold", st)
 	}
@@ -462,5 +465,59 @@ func TestWaitForGenerationPublishRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		gen = s.Snapshot().Generation
+	}
+}
+
+// TestSolveSpansBothModes checks the one solve path emits the same
+// phase spans single-engine and sharded: build, engine_init (with its
+// warm/cold start), iterate (with the stop reason the snapshot
+// reports) and publish. The per-phase split rides on the iterate span
+// only for the single engine, the one runner that feeds the recorder.
+func TestSolveSpansBothModes(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rec := obs.NewRecorder(obs.NewRegistry(), nil)
+			tr := span.New(256, rec)
+			opts := testOptions(rec)
+			opts.Spans = tr
+			opts.Shards = shards
+			s, err := New(toyProblem(t), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := s.WaitForGeneration(1, waitBudget)
+			// The solve span ends after the snapshot publishes; Close
+			// waits for the solver loop, so every span is finished.
+			_ = s.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			solves := tr.Spans(span.Filter{Name: "solve"})
+			if len(solves) == 0 {
+				t.Fatal("no solve span")
+			}
+			byName := map[string]span.Span{}
+			for _, sp := range tr.Spans(span.Filter{Trace: solves[0].Trace}) {
+				if sp.Parent == solves[0].ID {
+					byName[sp.Name] = sp
+				}
+			}
+			for _, name := range []string{"build", "engine_init", "iterate", "publish"} {
+				if _, ok := byName[name]; !ok {
+					t.Errorf("solve has no %q child (children: %v)", name, byName)
+				}
+			}
+			if st := byName["engine_init"].Attrs["start"]; st != "cold" {
+				t.Errorf("boot engine_init start = %q, want cold", st)
+			}
+			it := byName["iterate"]
+			if it.Attrs["stop"] == "" || it.Attrs["stop"] != string(snap.Stop) {
+				t.Errorf("iterate stop = %q, snapshot stop = %q; want equal and set", it.Attrs["stop"], snap.Stop)
+			}
+			_, split := it.Attrs["phase_"+obs.PhaseForecast.String()+"_s"]
+			if split != (shards <= 1) {
+				t.Errorf("iterate per-phase split present = %v, want %v", split, shards <= 1)
+			}
+		})
 	}
 }

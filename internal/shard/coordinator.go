@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -115,16 +116,6 @@ type PriceUpdate struct {
 	Prices   []float64 `json:"prices"`
 }
 
-// ShardStatus is one shard's slice of a Result.
-type ShardStatus struct {
-	Shard       int     `json:"shard"`
-	Commodities int     `json:"commodities"`
-	Iterations  int     `json:"iterations"`
-	Warm        bool    `json:"warm"`
-	Stationary  bool    `json:"stationary"`
-	Utility     float64 `json:"utility"`
-}
-
 // CommodityState is one commodity's admission outcome, stitched back
 // into global commodity order.
 type CommodityState struct {
@@ -146,11 +137,15 @@ type Result struct {
 	Converged bool
 	// Drained reports a solve cut short by shutdown.
 	Drained bool
+	// Stop is why the solve ended, in the step driver's terms:
+	// stationary (the exchange settled with every shard stationary),
+	// max_iters (budgets exhausted or the round cap hit), diverged or
+	// drained.
+	Stop gradient.StopReason
 	// Feasible is f_i ≤ C_i at the merged global usage.
 	Feasible bool
 	// Err is the first shard divergence observed, if any.
-	Err    error
-	Shards []ShardStatus
+	Err error
 }
 
 // Coordinator owns N solver shards and runs the dual-decomposition
@@ -166,17 +161,21 @@ type Coordinator struct {
 	parts   [][]float64 // merge scratch, one entry per built runner
 }
 
-// runner is one solver shard: its own subset transform, workspace and
-// engine. All fields are touched only by the coordinator (sequentially)
-// or by the runner's own advance goroutine (exclusively), never both at
-// once.
+// runner is one solver shard: its own subset transform and engine. All
+// fields are touched only by the coordinator (sequentially) or by the
+// runner's own build, init or advance goroutine (exclusively), never
+// both at once.
 type runner struct {
 	id  int
 	cfg *Config
 
-	x   *transform.Extended
-	eng *gradient.Engine
-	u   *flow.Usage
+	next *transform.Extended // built by Build, installed by Init
+	x    *transform.Extended
+	eng  *gradient.Engine
+	// u is the engine's evaluation of its current routing, refreshed at
+	// init and after every advance, so a shard with an engine is always
+	// observable — even when the solve drains before its first step.
+	u *flow.Usage
 
 	names []string
 	local map[string]int
@@ -192,10 +191,16 @@ type runner struct {
 	extMoved   bool
 	diverged   bool
 	divergeErr error
-	warm       bool // last rebuild warm-started
 	stepped    bool // last advance performed ≥1 iteration
 	seconds    float64
 }
+
+// alone reports a coordinator with a single runner and no peers — the
+// single-engine server. Its engine feeds the per-iteration recorder
+// (the recorder's phase hooks are single-goroutine, so shared engines
+// stepping concurrently cannot), and it reports the unlabeled build
+// footprint instead of the per-shard metrics.
+func (c *Config) alone() bool { return c.Shards == 1 }
 
 // New creates a coordinator with empty shards; Apply installs the first
 // problem.
@@ -216,7 +221,7 @@ func (c *Coordinator) Shards() int { return c.cfg.Shards }
 func (c *Coordinator) Clear(p *stream.Problem) {
 	c.p = p
 	for _, r := range c.runners {
-		r.x, r.eng, r.u = nil, nil, nil
+		r.next, r.x, r.eng, r.u = nil, nil, nil, nil
 		r.names = r.names[:0]
 		r.local = nil
 		clear(r.own)
@@ -232,43 +237,69 @@ func (c *Coordinator) Clear(p *stream.Problem) {
 	}
 }
 
-// Apply installs a new desired problem and rebuilds the dirty shards
-// (dirty[i] true means shard i's commodity set or the shared network
-// parameters changed since its extended problem was built). It returns
-// whether every rebuild warm-started from the shard's previous routing.
-// Clean shards keep their engines and warm state untouched.
+// Apply installs a new desired problem and rebuilds the dirty shards:
+// Build, then Init. It returns whether every rebuild warm-started.
 func (c *Coordinator) Apply(p *stream.Problem, dirty []bool) (warm bool, err error) {
+	if err := c.Build(p, dirty); err != nil {
+		return false, err
+	}
+	warm, _ = c.Init()
+	return warm, nil
+}
+
+// Build installs a new desired problem and rebuilds the extended
+// problems of the dirty shards (dirty[i] true means shard i's commodity
+// set or the shared network parameters changed since its extended
+// problem was built; a short or nil dirty slice marks the missing
+// shards dirty). Clean shards keep their problems, engines and warm
+// state untouched; the rebuilt ones take effect at Init.
+func (c *Coordinator) Build(p *stream.Problem, dirty []bool) error {
 	c.p = p
 	subsets := make([][]int, c.cfg.Shards)
 	for gi := range p.Commodities {
 		s := Place(p.Commodities[gi].Name, c.cfg.Salt, c.cfg.Shards)
 		subsets[s] = append(subsets[s], gi)
 	}
-	// Rebuild dirty shards concurrently: each rebuild only reads the
+	// Rebuild dirty shards concurrently: each build only reads the
 	// shared problem and writes its own runner, and subset builds are
 	// the dominant cost of a topology change at large commodity counts.
+	errs := make([]error, len(c.runners))
+	c.parallel(func(r *runner) {
+		if r.id >= len(dirty) || dirty[r.id] {
+			r.next, errs[r.id] = r.build(p, subsets[r.id])
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			for _, r := range c.runners {
+				r.next = nil
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// Init starts the engines of the shards Build rebuilt — warm from each
+// shard's previous routing where it rebinds onto the new build, cold
+// otherwise — and evaluates them. It reports whether every restart was
+// warm, and the first unexpected warm-start failure (the shard still
+// started cold); a topology change is the expected reason for a cold
+// start and is only logged.
+func (c *Coordinator) Init() (warm bool, err error) {
 	warms := make([]bool, len(c.runners))
 	errs := make([]error, len(c.runners))
-	var wg sync.WaitGroup
-	for i, r := range c.runners {
-		if i < len(dirty) && !dirty[i] {
-			warms[i] = true
-			continue
+	c.parallel(func(r *runner) {
+		warms[r.id] = true
+		if r.next != nil {
+			warms[r.id], errs[r.id] = r.init()
 		}
-		wg.Add(1)
-		go func(i int, r *runner) {
-			defer wg.Done()
-			warms[i], errs[i] = r.rebuild(p, subsets[i])
-		}(i, r)
-	}
-	wg.Wait()
+	})
 	warm = true
 	for i := range c.runners {
-		if errs[i] != nil {
-			return false, errs[i]
-		}
-		if !warms[i] {
-			warm = false
+		warm = warm && warms[i]
+		if err == nil {
+			err = errs[i]
 		}
 	}
 	if c.shared == 0 {
@@ -281,13 +312,29 @@ func (c *Coordinator) Apply(p *stream.Problem, dirty []bool) (warm bool, err err
 		c.merged = make([]float64, c.shared)
 		c.prices = make([]float64, c.shared)
 	}
-	return warm, nil
+	return warm, err
 }
 
-// rebuild reconstructs the shard's extended problem over subset and
-// rebinds the previous routing onto it when the subset topology allows
-// a warm start.
-func (r *runner) rebuild(p *stream.Problem, subset []int) (warm bool, err error) {
+// parallel runs fn on every runner concurrently and joins; a lone
+// runner runs inline.
+func (c *Coordinator) parallel(fn func(r *runner)) {
+	if len(c.runners) == 1 {
+		fn(c.runners[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for _, r := range c.runners {
+		wg.Add(1)
+		go func(r *runner) {
+			defer wg.Done()
+			fn(r)
+		}(r)
+	}
+	wg.Wait()
+}
+
+// build constructs the shard's extended problem over subset.
+func (r *runner) build(p *stream.Problem, subset []int) (*transform.Extended, error) {
 	if subset == nil {
 		subset = []int{}
 	}
@@ -297,9 +344,23 @@ func (r *runner) rebuild(p *stream.Problem, subset []int) (warm bool, err error)
 		Commodities: subset,
 	})
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	r.cfg.Recorder.BuildFootprint(r.id, x.BuildBytes(), len(subset))
+	id := r.id
+	if r.cfg.alone() {
+		id = -1
+	}
+	r.cfg.Recorder.BuildFootprint(id, x.BuildBytes(), len(subset))
+	return x, nil
+}
+
+// init installs the built problem and restarts the engine on it,
+// rebinding the previous routing when the subset topology allows a
+// warm start. unexpected is a warm-start failure other than a topology
+// change.
+func (r *runner) init() (warm bool, unexpected error) {
+	x := r.next
+	r.next = nil
 	if r.ext == nil {
 		r.ext = make([]float64, x.SharedNodes)
 		r.own = make([]float64, x.SharedNodes)
@@ -314,34 +375,41 @@ func (r *runner) rebuild(p *stream.Problem, subset []int) (warm bool, err error)
 	}
 	r.admitted = make([]float64, len(x.Commodities))
 	r.diverged, r.divergeErr = false, nil
+	r.x = x
 
 	if len(x.Commodities) == 0 {
-		r.x, r.eng, r.u = x, nil, nil
+		r.eng, r.u = nil, nil
 		clear(r.own)
 		r.utility = 0
 		r.stationary = true
-		r.warm = true
 		return true, nil
 	}
 
 	gcfg := gradient.Config{Eta: r.cfg.Eta, Workers: r.cfg.Workers}
-	warm = false
+	if r.cfg.alone() {
+		gcfg.Recorder = r.cfg.Recorder
+	}
 	if r.eng != nil {
 		eng, err := gradient.NewFrom(x, r.eng.Routing(), gcfg)
-		if err == nil {
+		switch {
+		case err == nil:
 			r.eng, warm = eng, true
-		} else if !errors.Is(err, flow.ErrTopologyChanged) {
+		case errors.Is(err, flow.ErrTopologyChanged):
+			// The subset's membership changed: the previous routing no
+			// longer fits, and starting cold is the recovery.
+			r.cfg.Logf("shard %d: cold start (expected): %v", r.id, err)
+		default:
 			r.cfg.Logf("shard %d: warm start failed unexpectedly, falling back to cold: %v", r.id, err)
+			unexpected = err
 		}
 	}
 	if !warm {
 		r.eng = gradient.New(x, gcfg)
 	}
-	r.x = x
-	r.u = flow.NewUsage(x)
+	r.u = r.eng.Evaluate()
+	r.capture()
 	r.stationary = false
-	r.warm = warm
-	return warm, nil
+	return warm, unexpected
 }
 
 // Solve runs price-exchange rounds until every shard is stationary and
@@ -358,9 +426,9 @@ func (c *Coordinator) Solve(ctx context.Context) Result {
 		r.seconds = 0
 		r.det = gradient.DivergenceDetector{}
 		if r.diverged {
-			// Retry a previously diverged shard, mirroring the
-			// single-engine server's per-solve fresh detector.
-			r.diverged = false
+			// Retry a previously diverged shard with a fresh detector,
+			// as every solve starts one.
+			r.diverged, r.divergeErr = false, nil
 			r.stationary = false
 		}
 	}
@@ -372,61 +440,52 @@ func (c *Coordinator) Solve(ctx context.Context) Result {
 		}
 	}
 	if anyX == nil {
-		res.Converged, res.Feasible = true, true
+		res.Converged, res.Feasible, res.Stop = true, true, gradient.StopStationary
 		return res
 	}
 
 	maxRounds := 8*(c.cfg.MaxIters/c.cfg.ExchangeEvery+1) + 256
 	for {
-		if ctx.Err() != nil {
-			res.Drained = true
-			break
-		}
 		stepped := c.advanceAll(ctx)
 		res.Rounds++
 		c.merge(anyX)
 		moved, maxDelta := c.updateExternals(anyX)
-		c.cfg.Recorder.PriceExchange(c.cfg.Shards, maxDelta)
+		if !c.cfg.alone() {
+			c.cfg.Recorder.PriceExchange(c.cfg.Shards, maxDelta)
+		}
 
-		allStationary, anyDiverged := true, false
+		allStationary := true
 		for _, r := range c.runners {
-			if r.diverged {
-				anyDiverged = true
-			} else if r.eng != nil && !r.stationary {
+			if r.divergeErr != nil && res.Err == nil {
+				res.Err = r.divergeErr
+			}
+			if !r.diverged && r.eng != nil && !r.stationary {
 				allStationary = false
 			}
 		}
-		if anyDiverged && res.Err == nil {
-			for _, r := range c.runners {
-				if r.divergeErr != nil {
-					res.Err = r.divergeErr
-					break
-				}
-			}
-		}
 		if allStationary && !moved {
-			res.Converged = !anyDiverged
+			res.Converged = res.Err == nil
+			res.Stop = gradient.StopStationary
 			break
 		}
-		if !stepped && !moved {
-			break // budgets exhausted and exchange frozen
-		}
-		if res.Rounds >= maxRounds {
+		if ctx.Err() != nil {
+			res.Drained = true
+			res.Stop = gradient.StopDrained
 			break
 		}
+		if (!stepped && !moved) || res.Rounds >= maxRounds {
+			// Budgets exhausted and exchange frozen, or the round cap.
+			res.Stop = gradient.StopMaxIters
+			break
+		}
+	}
+	if res.Err != nil {
+		res.Stop = gradient.StopDiverged
 	}
 
 	for _, r := range c.runners {
 		res.Iterations += r.iters
 		res.Utility += r.utility
-		res.Shards = append(res.Shards, ShardStatus{
-			Shard:       r.id,
-			Commodities: len(r.names),
-			Iterations:  r.iters,
-			Warm:        r.warm,
-			Stationary:  r.stationary,
-			Utility:     r.utility,
-		})
 	}
 	res.Feasible, _ = flow.FeasibleShared(anyX, c.merged)
 	return res
@@ -438,90 +497,64 @@ func (c *Coordinator) Solve(ctx context.Context) Result {
 // is the join; the subsequent merge reads the results sequentially in
 // shard order.
 func (c *Coordinator) advanceAll(ctx context.Context) (stepped bool) {
-	var wg sync.WaitGroup
-	for _, r := range c.runners {
-		wg.Add(1)
-		go func(r *runner) {
-			defer wg.Done()
-			start := time.Now()
-			r.stepped = r.advance(ctx)
-			r.seconds += time.Since(start).Seconds()
-		}(r)
-	}
-	wg.Wait()
+	c.parallel(func(r *runner) {
+		start := time.Now()
+		r.stepped = r.advance(ctx)
+		r.seconds += time.Since(start).Seconds()
+	})
 	now := float64(time.Now().UnixNano()) / 1e9
 	for _, r := range c.runners {
 		if r.stepped {
 			stepped = true
 		}
-		c.cfg.Recorder.ShardAdvance(r.id, r.seconds, r.iters, len(r.names), r.stepped, now)
+		if !c.cfg.alone() {
+			c.cfg.Recorder.ShardAdvance(r.id, r.seconds, r.iters, len(r.names), r.stepped, now)
+		}
 	}
 	return stepped
 }
 
 // advance runs up to ExchangeEvery gradient iterations against the
-// shard's current external-usage vector, refreshing its usage summary.
-// A shard that is already stationary and whose external usage has not
-// moved since skips entirely.
+// shard's current external-usage vector through the engine's step
+// driver, which checks stationarity after the ExchangeEvery-th step —
+// so a rebuilt shard, like a lone engine, always takes a full check
+// period before its first check — and refreshes the usage summary. A
+// stationary shard whose external usage has not moved skips; one whose
+// external usage moved re-checks before stepping.
 func (r *runner) advance(ctx context.Context) (stepped bool) {
-	if r.eng == nil || r.diverged {
+	if r.eng == nil || r.diverged || (r.stationary && !r.extMoved) {
 		return false
 	}
-	if r.stationary && !r.extMoved {
-		return false
-	}
+	r.extMoved = false
 	tol := r.cfg.StationaryTol
-	r.evaluate()
-	if tol > 0 {
-		rep := gradient.CheckStationarity(r.u)
-		if rep.MaxUsedGap <= tol {
-			r.stationary = true
-			r.extMoved = false
+	if r.stationary {
+		if gradient.CheckStationarity(r.eng.Evaluate()).MaxUsedGap <= tol {
 			r.capture()
 			return false
 		}
+		r.stationary = false
 	}
-	r.stationary = false
 	n := r.cfg.ExchangeEvery
 	if left := r.cfg.MaxIters - r.iters; left < n {
 		n = left
 	}
-	if n <= 0 {
-		r.extMoved = false
-		r.capture()
-		return false
+	out := r.eng.Run(ctx, gradient.Policy{
+		MaxIters:   n,
+		Tol:        tol,
+		CheckEvery: r.cfg.ExchangeEvery,
+		Detector:   &r.det,
+	}, nil)
+	r.iters += out.Iterations
+	switch out.Stop {
+	case gradient.StopStationary:
+		r.stationary = true
+	case gradient.StopDiverged:
+		r.diverged, r.divergeErr = true, out.Err
+		r.cfg.Logf("shard %d: solve diverged: %v", r.id, out.Err)
 	}
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		info := r.eng.Step()
-		r.iters++
-		stepped = true
-		if err := r.det.Observe(info); err != nil {
-			r.diverged = true
-			r.divergeErr = err
-			r.cfg.Logf("shard %d: solve diverged: %v", r.id, err)
-			break
-		}
-	}
-	r.evaluate()
-	r.extMoved = false
+	r.u = r.eng.Evaluate()
 	r.capture()
-	return stepped
-}
-
-// evaluate refreshes the runner's usage workspace from the engine's
-// current routing. The workspace is rebuilt alongside the engine, so a
-// shape mismatch means a stale workspace survived a rebuild race; it
-// is recovered by reallocating (flow.ErrWorkspaceShape is typed for
-// exactly this), not by crashing the shard.
-func (r *runner) evaluate() {
-	if err := flow.TryEvaluateInto(r.u, r.eng.Routing()); err != nil {
-		r.cfg.Logf("shard %d: stale usage workspace, reallocating: %v", r.id, err)
-		r.u = flow.NewUsage(r.eng.X)
-		flow.EvaluateInto(r.u, r.eng.Routing())
-	}
+	return out.Iterations > 0
 }
 
 // capture refreshes the runner's usage summary — shared-prefix flow,
@@ -580,10 +613,10 @@ func (c *Coordinator) updateExternals(anyX *transform.Extended) (moved bool, max
 			d := γ * (target - r.ext[i])
 			r.ext[i] += d
 			scale := 1.0
-			if cc := anyX.Capacity[i]; cc > 1 && !isInf(cc) {
+			if cc := anyX.Capacity[i]; cc > 1 && !math.IsInf(cc, 1) {
 				scale = cc
 			}
-			if rel := abs(d) / scale; rel > shardMax {
+			if rel := math.Abs(d) / scale; rel > shardMax {
 				shardMax = rel
 			}
 		}
@@ -602,11 +635,6 @@ func (c *Coordinator) updateExternals(anyX *transform.Extended) (moved bool, max
 // at the latest merged operating point.
 func (c *Coordinator) Prices() []float64 {
 	return append([]float64(nil), c.prices...)
-}
-
-// Merged returns a copy of the latest merged global usage.
-func (c *Coordinator) Merged() []float64 {
-	return append([]float64(nil), c.merged...)
 }
 
 // Commodities stitches per-commodity admission state back into the
@@ -649,7 +677,7 @@ func (c *Coordinator) Explain() []core.CommodityExplain {
 	}
 	byName := make(map[string]core.CommodityExplain)
 	for _, r := range c.runners {
-		if r.eng == nil || r.u == nil {
+		if r.u == nil {
 			continue
 		}
 		for _, ce := range core.Explain(c.p, r.x, r.u) {
@@ -664,12 +692,3 @@ func (c *Coordinator) Explain() []core.CommodityExplain {
 	}
 	return out
 }
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func isInf(v float64) bool { return v > 1e308 }

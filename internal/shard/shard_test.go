@@ -354,3 +354,69 @@ func TestExternalUsageShiftsPrices(t *testing.T) {
 		t.Fatalf("external usage did not raise the marginal price: %v <= %v", shifted, base)
 	}
 }
+
+// TestOneShardMatchesEngineLoop: a one-runner coordinator is the single
+// engine. Its cold solve must match a bare engine stepped with the
+// stationarity check after every 25th step, bit for bit in utility and
+// exactly in iteration count, on instances that converge and on a
+// budget that runs out between checks.
+func TestOneShardMatchesEngineLoop(t *testing.T) {
+	for _, tc := range []struct {
+		seed     int64
+		maxIters int
+	}{{2, 12000}, {5, 12000}, {5, 1010}} {
+		p, err := randnet.Generate(randnet.Config{Seed: tc.seed, Nodes: 24, Commodities: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := transform.Build(p, transform.Options{Epsilon: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := gradient.New(x, gradient.Config{Eta: 0.04})
+		iters, converged := 0, false
+		for i := 0; i < tc.maxIters && !converged; i++ {
+			eng.Step()
+			iters++
+			converged = i%25 == 24 && gradient.CheckStationarity(flow.Evaluate(eng.Routing())).MaxUsedGap <= 1e-3
+		}
+		want := eng.Solution().Utility()
+
+		t.Logf("seed %d budget %d: %d iterations, converged %v", tc.seed, tc.maxIters, iters, converged)
+		res := solveSharded(t, p, 1, 0.04, 1e-3, tc.maxIters)
+		if math.Float64bits(res.Utility) != math.Float64bits(want) || res.Iterations != iters || res.Converged != converged {
+			t.Errorf("seed %d budget %d: coordinator utility %v after %d iterations (converged %v), engine loop %v after %d (converged %v)",
+				tc.seed, tc.maxIters, res.Utility, res.Iterations, res.Converged, want, iters, converged)
+		}
+	}
+}
+
+// TestDrainedSolveIsObservable: a solve drained before its first step
+// (shutdown during the coalescing wait) leaves every rebuilt shard
+// evaluated, so the publish-side readers see the rebuilt operating
+// point instead of an unevaluated workspace.
+func TestDrainedSolveIsObservable(t *testing.T) {
+	p, err := randnet.GenerateSparse(randnet.Config{Nodes: 24, Layers: 4, Commodities: 60, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{Shards: 4, Salt: 7, Eta: 0.005})
+	if _, err := c.Apply(p, nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := c.Solve(ctx)
+	if !res.Drained || res.Stop != gradient.StopDrained || res.Iterations != 0 {
+		t.Fatalf("result = %+v, want drained with no iterations", res)
+	}
+	if got := len(c.Explain()); got != len(p.Commodities) {
+		t.Errorf("Explain covers %d commodities, want %d", got, len(p.Commodities))
+	}
+	if len(c.UsageReport()) == 0 {
+		t.Error("empty usage report")
+	}
+	if got := len(c.Commodities()); got != len(p.Commodities) {
+		t.Errorf("Commodities covers %d, want %d", got, len(p.Commodities))
+	}
+}

@@ -105,14 +105,14 @@ func TestBandwidthNodes(t *testing.T) {
 			t.Fatalf("bandwidth node %q capacity %g, want %g", x.Names[n], x.Capacity[n], p.Net.Bandwidth[orig])
 		}
 		// The wire half transfers one-for-one: β = c = 1.
-		if x.EdgeBeta(0, out) != 1 || x.EdgeCost(0, out) != 1 {
-			t.Fatalf("wire half beta=%g cost=%g, want 1,1", x.EdgeBeta(0, out), x.EdgeCost(0, out))
+		if edgeBeta(x, 0, out) != 1 || edgeCost(x, 0, out) != 1 {
+			t.Fatalf("wire half beta=%g cost=%g, want 1,1", edgeBeta(x, 0, out), edgeCost(x, 0, out))
 		}
 		// The processing half inherits the original parameters.
 		edge := og.Edge(orig)
 		want := p.Commodities[0].Edges[orig]
-		if x.EdgeBeta(0, in) != want.Beta || x.EdgeCost(0, in) != want.Cost {
-			t.Fatalf("proc half (%d,%d) beta=%g cost=%g, want %+v", edge.From, edge.To, x.EdgeBeta(0, in), x.EdgeCost(0, in), want)
+		if edgeBeta(x, 0, in) != want.Beta || edgeCost(x, 0, in) != want.Cost {
+			t.Fatalf("proc half (%d,%d) beta=%g cost=%g, want %+v", edge.From, edge.To, edgeBeta(x, 0, in), edgeCost(x, 0, in), want)
 		}
 	}
 	if count != og.NumEdges() {
@@ -139,8 +139,8 @@ func TestDummyNodes(t *testing.T) {
 		}
 		// Both dummy links carry flow one-for-one.
 		for _, e := range []graph.EdgeID{c.InputLink, c.DiffLink} {
-			if x.EdgeBeta(j, e) != 1 || x.EdgeCost(j, e) != 1 {
-				t.Fatalf("dummy link beta=%g cost=%g, want 1,1", x.EdgeBeta(j, e), x.EdgeCost(j, e))
+			if edgeBeta(x, j, e) != 1 || edgeCost(x, j, e) != 1 {
+				t.Fatalf("dummy link beta=%g cost=%g, want 1,1", edgeBeta(x, j, e), edgeCost(x, j, e))
 			}
 		}
 	}
@@ -204,7 +204,7 @@ func TestMemberSubgraphsAreDAGs(t *testing.T) {
 	p := twoPathProblem(t)
 	x := mustBuild(t, p, Options{})
 	for j := range x.Commodities {
-		if !x.G.IsAcyclic(func(e graph.EdgeID) bool { return x.MemberEdge(j, e) }) {
+		if !x.G.IsAcyclic(func(e graph.EdgeID) bool { return isMember(x, j, e) }) {
 			t.Fatalf("commodity %d member subgraph cyclic", j)
 		}
 		if len(x.Sub[j].Topo) != x.Sub[j].NumNodes() {
@@ -238,7 +238,7 @@ func TestTrimDropsDeadEnds(t *testing.T) {
 	// Find the proc half of the dead-end edge: src -> bw:src>b.
 	deadEnds := 0
 	for e := 0; e < x.G.NumEdges(); e++ {
-		if x.OrigEdge[e] == e3 && x.MemberEdge(0, graph.EdgeID(e)) {
+		if x.OrigEdge[e] == e3 && isMember(x, 0, graph.EdgeID(e)) {
 			deadEnds++
 		}
 	}
@@ -280,12 +280,12 @@ func TestSubgraphAdjacencyMatchesFilteredScan(t *testing.T) {
 			node := graph.NodeID(n)
 			var wantOut, wantIn []graph.EdgeID
 			for _, e := range x.G.Out(node) {
-				if x.MemberEdge(j, e) {
+				if isMember(x, j, e) {
 					wantOut = append(wantOut, e)
 				}
 			}
 			for _, e := range x.G.In(node) {
-				if x.MemberEdge(j, e) {
+				if isMember(x, j, e) {
 					wantIn = append(wantIn, e)
 				}
 			}
@@ -334,7 +334,7 @@ func TestLocalGlobalRoundTrip(t *testing.T) {
 		}
 		for e := 0; e < x.G.NumEdges(); e++ {
 			le := sg.LocalEdge(graph.EdgeID(e))
-			member := x.MemberEdge(j, graph.EdgeID(e))
+			member := isMember(x, j, graph.EdgeID(e))
 			if (le >= 0) != member {
 				t.Fatalf("commodity %d edge %d: LocalEdge = %d, MemberEdge = %v", j, e, le, member)
 			}
@@ -358,7 +358,7 @@ func TestLocalTopoMatchesFilteredSort(t *testing.T) {
 	x := mustBuild(t, p, Options{})
 	for j := range x.Commodities {
 		sg := &x.Sub[j]
-		full, err := x.G.TopoSortFiltered(func(e graph.EdgeID) bool { return x.MemberEdge(j, e) })
+		full, err := x.G.TopoSortFiltered(func(e graph.EdgeID) bool { return isMember(x, j, e) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,4 +408,25 @@ func equalEdges(a, b []graph.EdgeID) bool {
 		}
 	}
 	return true
+}
+
+// isMember reports whether extended edge e is a member edge of
+// commodity j, probing the sparse subgraph the way the dense
+// per-commodity tables answered it.
+func isMember(x *Extended, j int, e graph.EdgeID) bool { return x.Sub[j].LocalEdge(e) >= 0 }
+
+// edgeBeta returns β_e(j), zero when e is not a member edge of j.
+func edgeBeta(x *Extended, j int, e graph.EdgeID) float64 {
+	if le := x.Sub[j].LocalEdge(e); le >= 0 {
+		return x.Sub[j].Beta[le]
+	}
+	return 0
+}
+
+// edgeCost returns c_e(j), zero when e is not a member edge of j.
+func edgeCost(x *Extended, j int, e graph.EdgeID) float64 {
+	if le := x.Sub[j].LocalEdge(e); le >= 0 {
+		return x.Sub[j].Cost[le]
+	}
+	return 0
 }
