@@ -716,6 +716,34 @@ func scale10kInstance(b *testing.B) *stream.Problem {
 	return p
 }
 
+// BenchmarkSolveJ1k prices one cold admission-decision solve at J=1k:
+// engine init plus up to 400 steps with the stationarity check every 25,
+// on the seed-13 sparse instance with the settings the J ≥ 1k admission
+// benchmark workloads pin (η = 0.005, tolerance 5e-3, one-worker wave
+// pool). Steady-state steps allocate only their Admitted slice, so
+// allocs/op is the engine's workspaces plus one slice per step.
+func BenchmarkSolveJ1k(b *testing.B) {
+	p, err := randnet.GenerateSparse(randnet.Config{
+		Seed: 13, Nodes: 48, Layers: 6, Commodities: 1000,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, err := transform.Build(p, transform.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	policy := gradient.Policy{MaxIters: 400, Tol: 5e-3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var out gradient.Outcome
+	for i := 0; i < b.N; i++ {
+		eng := gradient.New(x, gradient.Config{Eta: 0.005, Workers: 1})
+		out = eng.Run(context.Background(), policy, nil)
+	}
+	b.ReportMetric(float64(out.Iterations), "steps/op")
+}
+
 // BenchmarkBuildSubset prices one shard's cold subset build of a
 // 4-shard J=10k deployment — the boot-time phase the ROADMAP measured
 // as dominated by the dense O(J·(n+m)) per-commodity tables before the

@@ -342,7 +342,8 @@ func solveDistributed(p *stream.Problem, x *transform.Extended, opts Options, ta
 	rt := dist.New(x, gradient.Config{Eta: opts.Eta, DisableBlocking: opts.DisableBlocking, Recorder: opts.Recorder})
 	each := traceTo(res, opts, target)
 	evaluate := func() *flow.Usage { return flow.Evaluate(rt.Routing()) }
-	out := gradient.Drive(context.Background(), rt.Step, evaluate, stopPolicy(opts), func(info gradient.StepInfo) bool {
+	gap := func() float64 { return gradient.CheckStationarity(evaluate()).MaxUsedGap }
+	out := gradient.Drive(context.Background(), rt.Step, gap, stopPolicy(opts), func(info gradient.StepInfo) bool {
 		res.Messages += rt.LastMessages
 		res.Rounds += rt.LastRounds
 		return each(info)

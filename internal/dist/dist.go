@@ -210,7 +210,7 @@ func (rt *Runtime) Step() (gradient.StepInfo, error) {
 	info := rt.measure()
 
 	// ---- Phase 2: marginal-cost wave (upstream) ----
-	tm := rec.StartPhase(obs.PhaseMarginal)
+	tw := rec.StartPhase(obs.PhaseWave)
 	for _, st := range rt.nodes {
 		for j := range st.per {
 			cs := &st.per[j]
@@ -227,10 +227,8 @@ func (rt *Runtime) Step() (gradient.StepInfo, error) {
 	if err := rt.net.RunToQuiescence(maxRounds); err != nil {
 		return gradient.StepInfo{}, fmt.Errorf("dist: marginal wave: %w", err)
 	}
-	tm.Done()
 
 	// ---- Phase 3: local routing update Γ ----
-	tu := rec.StartPhase(obs.PhaseUpdate)
 	for _, st := range rt.nodes {
 		for j := range st.per {
 			if st.id != x.Commodities[j].Sink {
@@ -238,7 +236,7 @@ func (rt *Runtime) Step() (gradient.StepInfo, error) {
 			}
 		}
 	}
-	tu.Done()
+	tw.Done()
 
 	rt.LastRounds = rt.net.Rounds() - rounds0
 	rt.LastMessages = rt.net.Messages() - msgs0
@@ -341,7 +339,7 @@ func (rt *Runtime) computeRho(st *nodeState, j int) {
 			cs.tagged = true
 			break
 		}
-		// Scale-corrected improper-link test (see gradient.ComputeTags):
+		// Scale-corrected improper-link test (see gradient's tagNode):
 		// compare marginal costs per source unit.
 		if cs.rho > cs.beta[e]*cs.rhoIn[e] || cs.t == 0 {
 			continue

@@ -131,7 +131,9 @@ func (e *AdaptiveEngine) Step() StepInfo {
 	u := e.u
 
 	next := e.spare
-	e.arena.runWave(u, e.eta, !e.cfg.DisableBlocking, false, rec, next)
+	tw := rec.StartPhase(obs.PhaseWave)
+	e.arena.runWave(u, e.eta, !e.cfg.DisableBlocking, next)
+	tw.Done()
 
 	flow.EvaluateInto(e.uProposed, next)
 	cost := e.uProposed.TotalCost()
@@ -175,5 +177,13 @@ func (e *AdaptiveEngine) Step() StepInfo {
 
 // Run drives the adaptive engine through Drive, like Engine.Run.
 func (e *AdaptiveEngine) Run(ctx context.Context, p Policy, each func(StepInfo) bool) Outcome {
-	return Drive(ctx, func() (StepInfo, error) { return e.Step(), nil }, e.Solution, p, each)
+	return Drive(ctx, func() (StepInfo, error) { return e.Step(), nil }, e.maxUsedGap, p, each)
+}
+
+// maxUsedGap is Engine.MaxUsedGap for the adaptive engine: the current
+// routing is evaluated into the proposal workspace, which the next Step
+// overwrites anyway.
+func (e *AdaptiveEngine) maxUsedGap() float64 {
+	flow.EvaluateInto(e.uProposed, e.routing)
+	return e.arena.maxUsedGap(e.uProposed)
 }

@@ -137,21 +137,24 @@ func (e *Engine) Stats() Stats { return e.stats }
 // until the next Step; callers that need a durable snapshot Clone it.
 func (e *Engine) Routing() *flow.Routing { return e.R }
 
-// Step executes one full iteration — forecast, marginal-cost wave,
-// tagging, routing update — and returns the pre-update measurements.
-// All iteration state lives in workspaces allocated at construction, so
-// the steady-state step performs no heap allocation beyond the returned
-// Admitted slice.
+// Step executes one full iteration — forecast, then one fused
+// marginal/tagging/update wave — and returns the pre-update
+// measurements. The forecast is skipped when the engine already holds
+// the evaluation of the current routing (a stationarity check or
+// Evaluate since the last Step). All iteration state lives in
+// workspaces allocated at construction, so the steady-state step
+// performs no heap allocation beyond the returned Admitted slice.
 func (e *Engine) Step() StepInfo {
 	rec := e.cfg.Recorder
 	tf := rec.StartPhase(obs.PhaseForecast)
-	flow.EvaluateInto(e.u, e.R)
+	u := e.Evaluate()
 	tf.Done()
-	u := e.u
 	info := e.measure(u)
 
 	next := e.spare
-	msgs, maxRounds, iterTagged := e.arena.runWave(u, e.cfg.Eta, !e.cfg.DisableBlocking, rec.Enabled(), rec, next)
+	tw := rec.StartPhase(obs.PhaseWave)
+	msgs, maxRounds, iterTagged := e.arena.runWave(u, e.cfg.Eta, !e.cfg.DisableBlocking, next)
+	tw.Done()
 	e.spare, e.R = e.R, next
 	e.evaluated = false
 	// Forecast wave mirrors the marginal wave downstream: same message
@@ -249,7 +252,7 @@ type Policy struct {
 	// MaxIters is the step budget of the run.
 	MaxIters int
 	// Tol is the Theorem-2 stationarity tolerance on
-	// CheckStationarity's MaxUsedGap; ≤ 0 disables the check.
+	// StationarityReport.MaxUsedGap; ≤ 0 disables the check.
 	Tol float64
 	// CheckEvery is the check cadence: the routing is tested after every
 	// CheckEvery-th step of the run, never before the first step. ≤ 0
@@ -273,11 +276,11 @@ type Outcome struct {
 // through: step until the context is cancelled, the budget runs out,
 // the trajectory diverges, the periodic Theorem-2 check passes, or the
 // optional per-step callback returns true. The callback sees every step
-// the divergence detector accepted. step advances one iteration;
-// evaluate returns an evaluation of the current routing for the
+// the divergence detector accepted. step advances one iteration; gap
+// returns the current routing's StationarityReport.MaxUsedGap for the
 // stationarity check. Drive keeps no trace — callers that want one
 // collect it in each.
-func Drive(ctx context.Context, step func() (StepInfo, error), evaluate func() *flow.Usage, p Policy, each func(StepInfo) bool) Outcome {
+func Drive(ctx context.Context, step func() (StepInfo, error), gap func() float64, p Policy, each func(StepInfo) bool) Outcome {
 	det := p.Detector
 	if det == nil {
 		det = &DivergenceDetector{}
@@ -307,8 +310,7 @@ func Drive(ctx context.Context, step func() (StepInfo, error), evaluate func() *
 			out.Stop = StopCallback
 			return out
 		}
-		if p.Tol > 0 && out.Iterations%every == 0 &&
-			CheckStationarity(evaluate()).MaxUsedGap <= p.Tol {
+		if p.Tol > 0 && out.Iterations%every == 0 && gap() <= p.Tol {
 			out.Stop = StopStationary
 			return out
 		}
@@ -317,9 +319,19 @@ func Drive(ctx context.Context, step func() (StepInfo, error), evaluate func() *
 	return out
 }
 
-// Run drives the engine through Drive.
+// Run drives the engine through Drive, checking stationarity with
+// MaxUsedGap.
 func (e *Engine) Run(ctx context.Context, p Policy, each func(StepInfo) bool) Outcome {
-	return Drive(ctx, e.step, e.Evaluate, p, each)
+	return Drive(ctx, e.step, e.MaxUsedGap, p, each)
+}
+
+// MaxUsedGap is CheckStationarity(e.Evaluate()).MaxUsedGap, bit for bit,
+// computed on the engine's own wave workspaces without allocating. The
+// evaluation it makes is kept, so the next Step skips its forecast.
+// Prices are recomputed on every call, so the gap reflects the
+// External usage installed at the time of the call.
+func (e *Engine) MaxUsedGap() float64 {
+	return e.arena.maxUsedGap(e.Evaluate())
 }
 
 func (e *Engine) step() (StepInfo, error) { return e.Step(), nil }

@@ -14,6 +14,10 @@
 //  3. routing update Γ: shift routing fraction from expensive links to
 //     each node's best unblocked link (eqs. 14–17).
 //
+// Every node's congestion price is computed once per iteration, after
+// the forecast, and phases 2 and 3 run fused as one reverse-topological
+// pass per commodity (arena.go; DESIGN.md §6).
+//
 // All per-commodity state is held in the commodity's Subgraph local
 // indexing (transform.Subgraph), so one commodity's wave costs O(its
 // member edges) in both time and memory.
@@ -55,63 +59,72 @@ type Marginals struct {
 // evaluated usage u. Nodes are processed in reverse topological order
 // of the member DAG, which is exactly the order in which the
 // distributed protocol's "wait for all downstream values" rule fires.
-// It allocates fresh buffers per call; iteration loops reuse a
-// workspace through ComputeMarginalsInto.
+// It allocates fresh buffers and prices each member node as the wave
+// reaches it; the engine runs the same per-node step (Marginals.node)
+// inside its fused wave against a per-step price vector (arena.go), so
+// the two agree bit for bit.
 func ComputeMarginals(u *flow.Usage, j int) *Marginals {
 	sg := &u.R.X.Sub[j]
 	m := &Marginals{
 		Rho:   make([]float64, sg.NumNodes()),
 		LinkD: make([]float64, sg.NumEdges()),
 	}
-	ComputeMarginalsInto(u, j, m, make([]int, sg.NumNodes()))
+	m.wave(u, j, make([]int, sg.NumNodes()))
 	return m
 }
 
-// ComputeMarginalsInto runs the marginal-cost wave into the
-// preallocated m, using depth as scratch for the per-node wave-round
-// counters. m.Rho and depth need capacity for the commodity's member
-// node count, m.LinkD for its member edge count (a workspace sized for
-// the largest commodity serves all of them — the buffers are resliced
-// to this commodity's sizes). All buffers are zeroed and refilled; the
-// result is bit-identical to ComputeMarginals.
-func ComputeMarginalsInto(u *flow.Usage, j int, m *Marginals, depth []int) {
+// wave runs commodity j's marginal-cost wave into m, whose Rho and
+// LinkD (like the depth scratch) need capacity for the commodity's
+// member nodes and edges and are resliced to them. Every entry the
+// wave defines is written, so buffers may be reused across commodities
+// without clearing.
+func (m *Marginals) wave(u *flow.Usage, j int, depth []int) {
 	x := u.R.X
 	sg := &x.Sub[j]
-	nn, ne := sg.NumNodes(), sg.NumEdges()
-	m.Rho = m.Rho[:nn]
-	m.LinkD = m.LinkD[:ne]
-	depth = depth[:nn]
-	clear(m.Rho)
-	clear(m.LinkD)
-	clear(depth)
+	nn := sg.NumNodes()
+	m.Rho, m.LinkD, depth = m.Rho[:nn], m.LinkD[:sg.NumEdges()], depth[:nn]
+	m.Rho[sg.Sink], depth[sg.Sink] = 0, 0 // convention ∂A/∂r_j(j) = 0
 	m.Rounds, m.Messages = 0, 0
-	phi := u.R.Phi[j]
-	beta := sg.Beta
+	phi, loss := u.R.Phi[j], diffLinkLoss(u, j)
 	for _, ln := range sg.RevTopo() {
 		if ln == sg.Sink {
-			m.Rho[ln] = 0 // convention ∂A/∂r_j(j) = 0
 			continue
 		}
-		var (
-			rho    float64
-			rounds int
-		)
 		n := sg.Nodes[ln]
-		for _, le := range sg.Out(ln) {
-			head := sg.Head[le]
-			d := marginalCostPerUnit(u, j, sg, n, le) + beta[le]*m.Rho[head]
-			m.LinkD[le] = d
-			rho += phi[le] * d
-			m.Messages++ // head broadcasts rho to this tail
-			if depth[head]+1 > rounds {
-				rounds = depth[head] + 1
-			}
+		m.node(sg, phi, depth, ln, sg.Out(ln), x.PenaltyDeriv(n, u.FNode[n]), loss)
+	}
+}
+
+// node is one step of the upstream wave at non-sink member node ln
+// with out-links outs, run once every head's ρ is final (reverse
+// topological order): it fills LinkD for the out-links, sets
+// ρ_ln = Σ_e φ_e·LinkD_e and ln's wave depth, and counts one ρ message
+// per out-link. price is the barrier derivative ε·D'_i(f_i) at ln's
+// extended node; on the difference link ∂A_i/∂f_e also carries loss,
+// the utility-loss derivative (eq. 11).
+func (m *Marginals) node(sg *transform.Subgraph, phi []float64, depth []int, ln int32, outs []int32, price, loss float64) {
+	var (
+		rho    float64
+		rounds int
+	)
+	for _, le := range outs {
+		head := sg.Head[le]
+		var l float64
+		if le == sg.DiffLink {
+			l = loss
 		}
-		m.Rho[ln] = rho
-		depth[ln] = rounds
-		if rounds > m.Rounds {
-			m.Rounds = rounds
+		d := (price+l)*sg.Cost[le] + sg.Beta[le]*m.Rho[head]
+		m.LinkD[le] = d
+		rho += phi[le] * d
+		m.Messages++ // head broadcasts rho to this tail
+		if depth[head]+1 > rounds {
+			rounds = depth[head] + 1
 		}
+	}
+	m.Rho[ln] = rho
+	depth[ln] = rounds
+	if rounds > m.Rounds {
+		m.Rounds = rounds
 	}
 }
 
@@ -133,17 +146,9 @@ func (m *Marginals) LinkDAt(sg *transform.Subgraph, e graph.EdgeID) float64 {
 	return 0
 }
 
-// marginalCostPerUnit is ∂A_i/∂f_e·c_e(j): the direct cost of pushing
-// one more unit of commodity j over member edge le at its tail i (the
-// extended node n). From eq. 11, ∂A_i/∂f_e is the barrier derivative
-// ε·D'_i(f_i) everywhere except on a difference link, where it is the
-// utility-loss derivative U'_j(λ_j − f_e).
-func marginalCostPerUnit(u *flow.Usage, j int, sg *transform.Subgraph, n graph.NodeID, le int32) float64 {
+// diffLinkLoss is U'_j(λ_j − f_e), the utility-loss derivative on
+// commodity j's difference link e.
+func diffLinkLoss(u *flow.Usage, j int) float64 {
 	x := u.R.X
-	var loss float64
-	if le == sg.DiffLink {
-		loss = x.LossDeriv(j, x.Commodities[j].DiffLink, u.FEdge[j][le])
-	}
-	dAdf := x.PenaltyDeriv(n, u.FNode[n]) + loss
-	return dAdf * sg.Cost[le]
+	return x.LossDeriv(j, x.Commodities[j].DiffLink, u.FEdge[j][x.Sub[j].DiffLink])
 }

@@ -36,41 +36,38 @@ const (
 )
 
 // CheckStationarity evaluates Theorem 2's conditions on the current
-// flows. Engines can call it periodically to implement convergence
-// detection that is grounded in the paper's optimality theory rather
-// than in utility deltas.
+// flows, running every commodity's marginal-cost wave through one
+// scratch buffer sized for the largest. An engine's periodic check
+// (Engine.MaxUsedGap) computes the same MaxUsedGap on its own
+// workspaces without allocating.
 func CheckStationarity(u *flow.Usage) StationarityReport {
 	x := u.R.X
 	rep := StationarityReport{WorstNode: graph.Invalid, WorstCommodity: -1}
+	var maxN, maxE int
+	for j := range x.Sub {
+		maxN, maxE = max(maxN, x.Sub[j].NumNodes()), max(maxE, x.Sub[j].NumEdges())
+	}
+	m := &Marginals{Rho: make([]float64, maxN), LinkD: make([]float64, maxE)}
+	depth := make([]int, maxN)
 	for j := range x.Commodities {
-		m := ComputeMarginals(u, j)
+		m.wave(u, j, depth)
 		sg := &x.Sub[j]
+		phi := u.R.Phi[j]
 		// Member nodes in ascending local index — the same ascending
 		// global-ID order the dense full-graph scan visited, since
 		// non-member nodes carried no traffic and were skipped.
 		for ln := int32(0); ln < int32(sg.NumNodes()); ln++ {
-			if ln == sg.Sink || u.T[j][ln] <= MinTraffic {
+			t := u.T[j][ln]
+			if ln == sg.Sink || t <= MinTraffic {
 				continue
 			}
 			outs := sg.Out(ln)
-			minD := math.Inf(1)
-			for _, le := range outs {
-				if m.LinkD[le] < minD {
-					minD = m.LinkD[le]
-				}
-			}
-			if math.IsInf(minD, 1) {
-				continue
+			if gap := usedGap(phi, m.LinkD, t, outs); gap > rep.MaxUsedGap {
+				rep.MaxUsedGap = gap
+				rep.WorstNode = sg.Nodes[ln]
+				rep.WorstCommodity = j
 			}
 			for _, le := range outs {
-				if u.R.Phi[j][le] > MinPhi {
-					gap := (m.LinkD[le] - minD) / (1 + minD)
-					if gap > rep.MaxUsedGap {
-						rep.MaxUsedGap = gap
-						rep.WorstNode = sg.Nodes[ln]
-						rep.WorstCommodity = j
-					}
-				}
 				if viol := (m.Rho[ln] - m.LinkD[le]) / (1 + m.Rho[ln]); viol > rep.MaxSufficientViolation {
 					rep.MaxSufficientViolation = viol
 				}
@@ -78,4 +75,33 @@ func CheckStationarity(u *flow.Usage) StationarityReport {
 		}
 	}
 	return rep
+}
+
+// usedGap is the necessary condition's residual at a non-sink member
+// node with traffic t and out-links outs: the largest
+// (d_e − min_d)/(1+min_d) over the out-links with φ_e > MinPhi, or 0
+// when the node carries no traffic (t ≤ MinTraffic) or has no finite
+// link marginal.
+func usedGap(phi, linkD []float64, t float64, outs []int32) float64 {
+	if t <= MinTraffic {
+		return 0
+	}
+	minD := math.Inf(1)
+	for _, le := range outs {
+		if linkD[le] < minD {
+			minD = linkD[le]
+		}
+	}
+	if math.IsInf(minD, 1) {
+		return 0
+	}
+	var gap float64
+	for _, le := range outs {
+		if phi[le] > MinPhi {
+			if g := (linkD[le] - minD) / (1 + minD); g > gap {
+				gap = g
+			}
+		}
+	}
+	return gap
 }

@@ -7,11 +7,12 @@ import (
 	"repro/internal/transform"
 )
 
-// ApplyGamma performs the §5 routing update Γ (eqs. 14–17) for
-// commodity j, writing the new routing variables into next (which may
-// alias u's routing for in-place update only if callers do not need the
-// old values; the engine always passes a clone). tagged uses commodity
-// j's local node indexing, as returned by ComputeTags.
+// updateNode performs the §5 routing update Γ (eqs. 14–17) at member
+// node ln of commodity j, writing the routing variables of its
+// out-links outs into
+// next (whose row must already hold the current routing, since a node
+// with no unblocked out-link writes nothing). tagged uses commodity j's
+// local node indexing; nil disables blocking.
 //
 // At each node the fraction routed over every non-best unblocked link
 // decreases by Δ = min(φ, η·a/t) where a is the link's marginal excess
@@ -19,17 +20,7 @@ import (
 // the best link (eq. 17). When t_i(j) = 0 the step η·a/t is unbounded
 // and the update shifts the full fraction — the limit Gallager's
 // analysis prescribes (DESIGN.md §6).
-func ApplyGamma(u *flow.Usage, j int, m *Marginals, tagged []bool, eta float64, next *flow.Routing) {
-	sg := &u.R.X.Sub[j]
-	for _, ln := range sg.Topo {
-		if ln == sg.Sink {
-			continue
-		}
-		updateNode(u, j, sg, m, tagged, eta, next, ln)
-	}
-}
-
-func updateNode(u *flow.Usage, j int, sg *transform.Subgraph, m *Marginals, tagged []bool, eta float64, next *flow.Routing, ln int32) {
+func updateNode(u *flow.Usage, j int, sg *transform.Subgraph, m *Marginals, tagged []bool, eta float64, next *flow.Routing, ln int32, outs []int32) {
 	phi := u.R.Phi[j]
 
 	// Find the best (minimum-marginal) unblocked out-link; ties break
@@ -37,7 +28,6 @@ func updateNode(u *flow.Usage, j int, sg *transform.Subgraph, m *Marginals, tagg
 	// (k ∈ B_i(j)) when φ_ik = 0 and k's broadcast was tagged.
 	best := int32(-1)
 	bestD := math.Inf(1)
-	outs := sg.Out(ln)
 	for _, le := range outs {
 		if blocked(phi, sg, tagged, le) {
 			continue

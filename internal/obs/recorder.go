@@ -6,19 +6,19 @@ import (
 	"time"
 )
 
-// Phase names one timed section of gradient.Engine.Step.
+// Phase names one timed section of gradient.Engine.Step. Each phase is
+// timed once per step.
 type Phase int
 
-// The four phases of a §5 iteration.
+// The two timed sections of a §5 iteration.
 const (
 	// PhaseForecast is the flow-forecast wave (flow.Evaluate).
 	PhaseForecast Phase = iota
-	// PhaseMarginal is the upstream marginal-cost wave.
-	PhaseMarginal
-	// PhaseTagging is the loop-freedom tag computation.
-	PhaseTagging
-	// PhaseUpdate is the Γ routing update.
-	PhaseUpdate
+	// PhaseWave is the upstream wave: marginal costs, loop-freedom
+	// tags and the Γ routing update, fused into one pass per commodity
+	// (in internal/dist, the marginal-cost message wave and the local
+	// updates).
+	PhaseWave
 
 	numPhases
 )
@@ -32,12 +32,8 @@ func (p Phase) String() string {
 	switch p {
 	case PhaseForecast:
 		return "forecast"
-	case PhaseMarginal:
-		return "marginal"
-	case PhaseTagging:
-		return "tagging"
-	case PhaseUpdate:
-		return "update"
+	case PhaseWave:
+		return "wave"
 	}
 	return "unknown"
 }

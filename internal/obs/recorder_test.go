@@ -113,10 +113,10 @@ func TestRecorderEventsAndMetrics(t *testing.T) {
 
 func TestPhaseTimingObserves(t *testing.T) {
 	r := NewRecorder(nil, nil)
-	tm := r.StartPhase(PhaseMarginal)
+	tm := r.StartPhase(PhaseWave)
 	tm.Done()
 	h := r.Registry().Histogram("streamopt_step_phase_seconds", "", DefaultTimeBuckets,
-		"phase", "marginal")
+		"phase", "wave")
 	if h.Count() != 1 {
 		t.Fatalf("phase histogram count = %d, want 1", h.Count())
 	}

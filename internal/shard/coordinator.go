@@ -528,7 +528,7 @@ func (r *runner) advance(ctx context.Context) (stepped bool) {
 	r.extMoved = false
 	tol := r.cfg.StationaryTol
 	if r.stationary {
-		if gradient.CheckStationarity(r.eng.Evaluate()).MaxUsedGap <= tol {
+		if r.eng.MaxUsedGap() <= tol {
 			r.capture()
 			return false
 		}
